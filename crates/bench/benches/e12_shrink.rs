@@ -26,6 +26,7 @@ fn bench(c: &mut Criterion) {
     let topo4 = Topology::cycle(4).unwrap();
     let ids4 = vec![5u64, 9, 2, 1];
     let violation = ModelChecker::new(&EagerMis, &topo4, ids4.clone())
+        .with_jobs(1)
         .explore(mis_violation)
         .unwrap()
         .safety_violation
@@ -42,6 +43,7 @@ fn bench(c: &mut Criterion) {
     let topo3 = Topology::cycle(3).unwrap();
     let ids3 = vec![0u64, 1, 2];
     let livelock = ModelChecker::new(&FiveColoring, &topo3, ids3.clone())
+        .with_jobs(1)
         .explore(coloring_safety)
         .unwrap()
         .livelock
@@ -65,6 +67,7 @@ fn bench_scaling(c: &mut Criterion) {
     let topo = Topology::cycle(4).unwrap();
     let ids = vec![5u64, 9, 2, 1];
     let violation = ModelChecker::new(&EagerMis, &topo, ids.clone())
+        .with_jobs(1)
         .explore(mis_violation)
         .unwrap()
         .safety_violation

@@ -13,6 +13,7 @@ fn bench(c: &mut Criterion) {
 
     // Claim check once: both candidates fail.
     let o = ModelChecker::new(&LocalMaxMis, &topo, vec![1, 2, 3])
+        .with_jobs(1)
         .explore(mis_violation)
         .unwrap();
     assert!(o.safety_violation.is_some() || o.livelock.is_some());
@@ -20,6 +21,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("localmax_c3_exhaustive", |b| {
         b.iter(|| {
             ModelChecker::new(&LocalMaxMis, &topo, vec![1, 2, 3])
+                .with_jobs(1)
                 .explore(mis_violation)
                 .unwrap()
         });
@@ -27,6 +29,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("eager_c3_exhaustive", |b| {
         b.iter(|| {
             ModelChecker::new(&EagerMis, &topo, vec![1, 2, 3])
+                .with_jobs(1)
                 .explore(mis_violation)
                 .unwrap()
         });

@@ -9,12 +9,14 @@
 //! * [`chains`] — monotone-chain analysis of identifier assignments: the
 //!   per-process distances to local extrema that drive the Lemma 3.9 and
 //!   Lemma 3.14 activation bounds;
-//! * [`modelcheck`] — an exhaustive reachable-configuration model checker
-//!   for small instances: explores *every* schedule (all activation
-//!   subsets at every step, hence also every crash pattern, since a crash
-//!   is just "no further activations"), checks a safety predicate at
-//!   every configuration, and detects livelocks as cycles in the
-//!   configuration graph;
+//! * [`modelcheck`] — the exhaustive reachable-configuration model
+//!   checker for small instances: explores *every* schedule (all
+//!   activation subsets at every step, hence also every crash pattern,
+//!   since a crash is just "no further activations"), checks a safety
+//!   predicate at every configuration, and detects livelocks as cycles
+//!   in the configuration graph. One level-synchronized engine expands
+//!   each BFS level on worker threads and merges it in canonical order,
+//!   so outcomes are bit-identical at any thread count;
 //! * [`por`] — certified partial-order reduction for the explorers:
 //!   connected-activation-set decomposition (exact) plus the
 //!   canonical-component staircase (verdict-preserving under a solo-
@@ -27,9 +29,6 @@
 //! * [`symmetry`] — opt-in orbit canonicalization under the cycle's
 //!   automorphism group (rotations + reflections), with the soundness
 //!   guard and the witness de-canonicalization algebra;
-//! * [`parallel`] — a multi-threaded frontier-expansion engine for the
-//!   same exploration, bit-identical to [`modelcheck`] at any thread
-//!   count;
 //! * [`adversary`] — a randomized schedule fuzzer for instances beyond
 //!   exhaustive reach: evolves activation-set genomes toward starvation
 //!   or safety violations;
@@ -50,7 +49,6 @@ mod codec_pin;
 pub mod extmem;
 pub mod invariants;
 pub mod modelcheck;
-pub mod parallel;
 pub mod por;
 pub mod shrink;
 pub mod ssb;
@@ -62,9 +60,9 @@ pub use chains::ChainAnalysis;
 pub use extmem::ExtmemConfig;
 pub use invariants::{check_coloring_report, ColoringCheck};
 pub use modelcheck::{
-    LivelockWitness, ModelCheckError, ModelCheckOutcome, ModelChecker, SafetyViolation,
+    LivelockWitness, ModelCheckError, ModelCheckOutcome, ModelChecker, ParallelModelChecker,
+    SafetyViolation,
 };
-pub use parallel::ParallelModelChecker;
 pub use shrink::{ShrinkStats, Shrinker, ShrunkLivelock, ShrunkSchedule, Witness, WitnessFixture};
 pub use stats::{ExploreStats, Summary};
 pub use symmetry::CycleSymmetry;

@@ -25,21 +25,61 @@
 //! # Compact exploration core
 //!
 //! Configurations are stored as packed interned buffers
-//! ([`ftcolor_model::encode::CfgKey`]): the visited-set, the BFS queue, and the
-//! parent links never hold an [`Execution`] or a heap tuple. Successors
-//! are generated **clone-free** by step/undo on a single scratch
+//! ([`ftcolor_model::encode::CfgKey`]): the visited-set, the frontier,
+//! and the parent links never hold an [`Execution`] or a heap tuple.
+//! Successors are generated **clone-free** by step/undo on a scratch
 //! execution — step with a subset, re-encode only the touched slots
 //! (incrementally updating the configuration hash), then restore those
 //! slots from the parent's buffer. Key equality compares the packed
-//! buffers themselves, so deduplication is exact and the explored graph
-//! is bit-identical to the one the old clone-per-successor engine built.
+//! buffers themselves, so deduplication is exact.
 //!
-//! With [`ModelChecker::with_symmetry`] the checker additionally
-//! canonicalizes every configuration under the cycle's automorphism
-//! group before deduplication, exploring one representative per orbit —
-//! see [`crate::symmetry`] for the soundness contract and the witness
+//! Transitions are stored **packed** — `(target, subset bitmask, frame
+//! automorphism)` in 12 bytes — and decoded against the source node's
+//! working set only when a witness needs materializing; at millions of
+//! configurations this keeps the edge arena an order of magnitude
+//! smaller than heap-allocated activation sets would be.
+//!
+//! # Determinism at every thread count
+//!
+//! Node ids are assigned in (parent id, activation-subset index) order,
+//! so the explored graph is a pure function of the instance. The engine
+//! keeps it that way under parallelism with a **level-synchronized
+//! BFS**:
+//!
+//! 1. **Expand (parallel).** The current frontier (one BFS level) is
+//!    split into per-worker index ranges; workers claim chunks from
+//!    their own range and *steal* from the back of the largest remaining
+//!    range when they run dry. Each worker decodes frontier nodes into
+//!    its own scratch [`Execution`] and computes the expensive part: the
+//!    safety predicate, the terminal check, and one packed successor key
+//!    per activation subset, consulting the sharded visited-set
+//!    (partitioned by the keys' precomputed `u64` hashes, one
+//!    `parking_lot::Mutex`-guarded shard each) to classify successors
+//!    already discovered in previous levels. The visited-set is *frozen*
+//!    during this phase, so reads race with nothing.
+//! 2. **Merge (sequential, canonical order).** Workers' results are
+//!    reassembled by frontier index and folded in ascending node-id
+//!    order: first-seen output collection, lowest-id-wins safety
+//!    violation (BFS parent chains order witnesses by (length, discovery
+//!    order)), terminal counting, the configuration-cap check, new-id
+//!    assignment in (parent, subset) order, and the dedup-statistics
+//!    counters. Duplicates discovered concurrently within one level are
+//!    resolved here, deterministically, never by race outcome.
+//!
+//! Cycle detection and the worst-case DP then run on the resulting edge
+//! list, so every outcome — witnesses, counts, `outputs_seen` order,
+//! `exact_worst_case` — is bit-identical at every `--jobs` value.
+//!
+//! # Reduced and alternative-storage modes
+//!
+//! With [`ModelChecker::with_symmetry`] every configuration is
+//! canonicalized under the cycle's automorphism group before
+//! deduplication, exploring one representative per orbit — see
+//! [`crate::symmetry`] for the soundness contract and the witness
 //! de-canonicalization that keeps every surfaced schedule concretely
-//! replayable on the original instance.
+//! replayable on the original instance. Representatives are elected by
+//! run-independent value hashes, so symmetry runs stay thread-count
+//! independent too.
 //!
 //! With [`ModelChecker::with_por`] the checker applies certified
 //! **partial-order reduction** (see [`crate::por`]): activation subsets
@@ -51,22 +91,39 @@
 //! canonical representative's working set, and since every reduced edge
 //! is a real edge, witness de-canonicalization is unchanged.
 //!
-//! Transitions are stored **packed** — `(target, subset bitmask, frame
-//! automorphism)` in 12 bytes — and decoded against the source node's
-//! working set only when a witness needs materializing; at millions of
-//! configurations this keeps the edge arena an order of magnitude
-//! smaller than heap-allocated activation sets would be.
+//! [`ModelChecker::with_extmem`] swaps the sharded in-RAM visited-set
+//! for the disk-backed [`ExtVisited`] store. The expand phase then
+//! classifies *every* successor as fresh (no concurrent disk probing);
+//! the merge phase first resolves the level's fresh keys in one batched
+//! streaming pass over the sorted runs (delayed duplicate detection),
+//! then falls back to a level-local exact map — the same two-tier lookup
+//! the RAM path performs, so every counter and id assignment is
+//! bit-identical to the in-RAM run. Only the key→id map is budgeted:
+//! the node arena and edge lists stay RAM-resident.
 //!
-//! Experiment E6 runs this on `C3`/`C4` for Algorithms 1–3 (finding the
+//! [`ModelChecker::with_bloom`] replaces the visited-set with a lossy
+//! Bloom filter for falsification-only sweeps: duplicate suppression
+//! keeps no node ids, so suppressed edges are dropped from the graph and
+//! cycle detection is impossible — outcomes carry `lossy = true`, report
+//! `livelock: None` categorically, and never compare equal to sound
+//! runs. Safety violations found this way are still real (their parent
+//! chains are intact and replayable); a clean Bloom run certifies
+//! nothing, and the honest false-positive budget is reported in
+//! [`ExploreStats::bloom_fp_per_million`].
+//!
+//! Experiment E6 runs this on `C3`–`C5` for Algorithms 1–3 (finding the
 //! crash-livelock of Algorithms 2/3 automatically, and verifying
 //! Algorithm 1 clean); E7 runs it on the MIS candidates.
 
+use crate::extmem::{BloomVisited, ExtVisited, ExtmemConfig, BLOOM_HASHES};
 use crate::por::{self, PorContext};
 use crate::stats::ExploreStats;
 use crate::symmetry::{CycleSymmetry, SIGMA_ID};
 use ftcolor_model::encode::{CfgKey, ConfigCodec, PassthroughBuild};
 use ftcolor_model::schedule::ActivationSet;
+use ftcolor_model::sweep::{default_jobs, RangeQueue};
 use ftcolor_model::{Algorithm, Execution, ProcessId, Topology};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -98,7 +155,7 @@ pub struct LivelockWitness {
 /// Result of an exhaustive exploration.
 ///
 /// Implements `PartialEq` so differential harnesses can assert that two
-/// explorations (e.g. sequential vs. parallel) produced *identical*
+/// explorations (e.g. at different thread counts) produced *identical*
 /// results, field for field. The [`stats`](Self::stats) field carries
 /// wall-clock-dependent performance counters and is deliberately
 /// **excluded** from equality.
@@ -171,33 +228,6 @@ impl<O: fmt::Debug> fmt::Display for ModelCheckOutcome<O> {
         }
         Ok(())
     }
-}
-
-/// Exhaustive model checker for an algorithm on a small topology.
-///
-/// ```
-/// use ftcolor_checker::ModelChecker;
-/// use ftcolor_core::SixColoring;
-/// use ftcolor_model::Topology;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let topo = Topology::cycle(3)?;
-/// let mc = ModelChecker::new(&SixColoring, &topo, vec![10, 20, 30]);
-/// let outcome = mc.explore(|topo, outputs| {
-///     topo.first_conflict(outputs)
-///         .map(|(a, b)| format!("conflict {a}-{b}"))
-/// })?;
-/// assert!(outcome.clean(), "{outcome}");
-/// # Ok(())
-/// # }
-/// ```
-pub struct ModelChecker<'a, A: Algorithm> {
-    alg: &'a A,
-    topo: &'a Topology,
-    inputs: Vec<A::Input>,
-    max_configs: usize,
-    symmetry: bool,
-    por: bool,
 }
 
 /// Exploration failed structurally (e.g. the instance is too large).
@@ -279,7 +309,7 @@ impl std::error::Error for ModelCheckError {}
 ///
 /// Panics if `working` has 24 or more entries (the instance is far too
 /// large for exhaustive exploration anyway).
-pub fn all_nonempty_subsets(working: &[ftcolor_model::ProcessId]) -> Vec<ActivationSet> {
+pub fn all_nonempty_subsets(working: &[ProcessId]) -> Vec<ActivationSet> {
     subsets_with_masks(working)
         .into_iter()
         .map(|(_, set)| set)
@@ -287,14 +317,10 @@ pub fn all_nonempty_subsets(working: &[ftcolor_model::ProcessId]) -> Vec<Activat
 }
 
 /// [`all_nonempty_subsets`] paired with each subset's bitmask over
-/// `working` (bit `i` activates `working[i]`) — the packed form the
-/// explorers store in [`Edge`]s. Masks enumerate ascending, so every
-/// exploration mode branches in the same deterministic order.
-///
-/// # Panics
-///
-/// Panics if `working` has 24 or more entries.
-pub(crate) fn subsets_with_masks(working: &[ProcessId]) -> Vec<(u32, ActivationSet)> {
+/// `working` (bit `i` activates `working[i]`) — the packed form stored
+/// in [`Edge`]s. Masks enumerate ascending, so every exploration mode
+/// branches in the same deterministic order.
+fn subsets_with_masks(working: &[ProcessId]) -> Vec<(u32, ActivationSet)> {
     let k = working.len();
     assert!(k < 24, "subset enumeration needs a small instance");
     (1..(1u32 << k))
@@ -304,7 +330,7 @@ pub(crate) fn subsets_with_masks(working: &[ProcessId]) -> Vec<(u32, ActivationS
 
 /// Expands a packed subset bitmask back into an activation set against
 /// the source configuration's (ascending) working list.
-pub(crate) fn decode_mask(mask: u32, working: &[ProcessId]) -> ActivationSet {
+fn decode_mask(mask: u32, working: &[ProcessId]) -> ActivationSet {
     ActivationSet::of(
         (0..working.len())
             .filter(|i| mask & (1 << i) != 0)
@@ -320,151 +346,972 @@ pub(crate) fn decode_mask(mask: u32, working: &[ProcessId]) -> ActivationSet {
 /// configurations the edge arena stays RAM-resident where heap
 /// activation sets would not.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Edge {
-    pub to: u32,
-    pub mask: u32,
-    pub sig: u16,
+struct Edge {
+    to: u32,
+    mask: u32,
+    sig: u16,
 }
 
 /// BFS parent link: parent id, activation-subset bitmask (in the
 /// parent's frame), canonicalizing automorphism of the edge.
-pub(crate) type ParentLink = Option<(u32, u32, u16)>;
+type ParentLink = Option<(u32, u32, u16)>;
 
-/// Walks the BFS parent chain from node `id` back to the root, returning
-/// the activation-set schedule that reaches `id` from the initial
-/// configuration; `working_of` resolves a node id to its configuration's
-/// working list (restoring the packed node) so each stored mask can be
-/// decoded in its parent's frame. Only valid outside symmetry mode
-/// (automorphism frames are ignored); symmetry-mode callers use
-/// [`frame_schedule`].
-pub(crate) fn schedule_to(
-    parents: &[ParentLink],
-    mut id: usize,
-    working_of: &mut impl FnMut(usize) -> Vec<ProcessId>,
-) -> Vec<ActivationSet> {
-    let mut sched = Vec::new();
-    while let Some((p, mask, _)) = &parents[id] {
-        id = *p as usize;
-        sched.push(decode_mask(*mask, &working_of(id)));
-    }
-    sched.reverse();
-    sched
+/// Number of hash-partitioned shards in the visited-set. A power of two
+/// comfortably above any realistic worker count, so shard collisions
+/// between concurrent readers are rare.
+const SHARDS: usize = 64;
+
+/// A visited-set hash-partitioned into independently locked shards.
+///
+/// Shard choice reuses the key's precomputed run-independent `u64`
+/// configuration hash, so the partition is a pure function of the key —
+/// identical across runs, threads, and machines — and the inner maps
+/// skip rehashing entirely ([`PassthroughBuild`]).
+struct ShardedMap {
+    shards: Vec<Mutex<HashMap<CfgKey, usize, PassthroughBuild>>>,
 }
 
-/// Symmetry-mode replacement for [`schedule_to`]: walks the parent chain
-/// and **de-canonicalizes** it, mapping each canonical-frame activation
-/// set through the cumulative frame automorphism back to the original
-/// instance's process labels. Returns the concrete schedule and the
-/// frame permutation `τ` at `id` (concrete process = `τ[canonical]`).
-pub(crate) fn frame_schedule(
-    parents: &[ParentLink],
-    mut id: usize,
-    sym: &CycleSymmetry,
-    root_sig: u16,
-    working_of: &mut impl FnMut(usize) -> Vec<ProcessId>,
-) -> (Vec<ActivationSet>, u16) {
-    let mut chain: Vec<(ActivationSet, u16)> = Vec::new();
-    while let Some((p, mask, sig)) = &parents[id] {
-        id = *p as usize;
-        chain.push((decode_mask(*mask, &working_of(id)), *sig));
+impl ShardedMap {
+    fn new() -> Self {
+        ShardedMap {
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(HashMap::with_hasher(PassthroughBuild::default())))
+                .collect(),
+        }
     }
-    chain.reverse();
 
-    // Concrete root = inv(root_sig) · canonical root.
-    let mut tau = sym.invert(root_sig);
-    let mut sched = Vec::with_capacity(chain.len());
-    for (set, sig) in chain {
-        sched.push(sym.apply_to_set(tau, &set));
-        tau = sym.compose(tau, sym.invert(sig));
+    fn shard_of(key: &CfgKey) -> usize {
+        (key.hash as usize) % SHARDS
     }
-    (sched, tau)
+
+    fn get(&self, key: &CfgKey) -> Option<usize> {
+        self.shards[Self::shard_of(key)].lock().get(key).copied()
+    }
+
+    fn insert(&self, key: CfgKey, id: usize) {
+        self.shards[Self::shard_of(&key)].lock().insert(key, id);
+    }
 }
 
-/// Materializes a concrete [`SafetyViolation`] from a quotient-graph
-/// detection: outside symmetry mode the parent chain *is* the concrete
-/// schedule; in symmetry mode the chain is de-canonicalized and then
-/// replayed on the original instance to regenerate the description in
-/// concrete process labels (falling back to the canonical-frame
-/// description if the predicate — against the contract — is not
-/// symmetry-invariant).
-#[allow(clippy::too_many_arguments)] // internal plumbing between the two checkers
-pub(crate) fn concrete_safety_witness<A: Algorithm>(
-    alg: &A,
-    topo: &Topology,
-    inputs: &[A::Input],
-    parents: &[ParentLink],
-    id: usize,
-    canonical_desc: String,
-    sym: Option<&CycleSymmetry>,
+/// The visited-set backing an exploration: exact in-RAM (default),
+/// exact external-memory, or lossy Bloom.
+enum Backend {
+    Ram(ShardedMap),
+    Ext(ExtVisited),
+    Bloom(BloomVisited),
+}
+
+/// One successor computed during the parallel expand phase: the
+/// activation-subset bitmask taken (over the source configuration's
+/// ascending working list), the canonicalizing automorphism, and either
+/// the already-known target id or the packed key for merge-phase
+/// resolution. In the external-memory and Bloom modes every child is
+/// `Fresh` — the store is consulted only during the merge.
+enum Child {
+    /// The configuration was already visited in an earlier level.
+    Known(usize, u32, u16),
+    /// Not yet in the visited-set at expand time; the merge phase
+    /// resolves same-level duplicates and assigns the canonical id.
+    Fresh(CfgKey, u32, u16),
+}
+
+/// Everything the merge phase needs about one expanded frontier node.
+struct Expansion<O> {
+    /// Outputs present at this configuration, in process order.
+    outputs: Vec<O>,
+    /// Safety-predicate result at this configuration.
+    violation: Option<String>,
+    /// Every process has returned: no successors.
+    terminal: bool,
+    /// Successors in activation-subset (mask) order; empty when terminal
+    /// or when expansion is globally disabled (cap already reached).
+    children: Vec<Child>,
+    /// Activation subsets POR pruned at this node (`0` outside `--por`).
+    /// Credited by the merge phase only when the node actually expands,
+    /// so capped nodes don't count.
+    pruned: u64,
+}
+
+/// The explored (possibly quotiented) configuration graph plus the
+/// bookkeeping `explore` and `exact_worst_case` report.
+struct Graph<O> {
+    edges: Vec<Vec<Edge>>,
+    parents: Vec<ParentLink>,
+    /// Packed key of every node, indexed by id — the decode arena for
+    /// witness reconstruction (edges store subset bitmasks, which only
+    /// mean something against the source node's working list).
+    nodes: Vec<CfgKey>,
+    configs: usize,
+    edge_count: usize,
+    fully_terminated: usize,
+    truncated: bool,
+    /// Lowest-id violating configuration and its description.
+    first_violation: Option<(usize, String)>,
+    outputs_seen: Vec<O>,
+    /// Bloom mode: duplicate suppression lost edges, so the graph is a
+    /// subgraph of the real one and cycle detection is off the table.
+    lossy: bool,
+    stats: ExploreStats,
+    sym: Option<CycleSymmetry>,
     root_sig: u16,
-    safety: &impl Fn(&Topology, &[Option<A::Output>]) -> Option<String>,
-    working_of: &mut impl FnMut(usize) -> Vec<ProcessId>,
-) -> SafetyViolation
+}
+
+/// Exhaustive, multi-threaded model checker for an algorithm on a small
+/// topology. Outcomes are identical at every worker count.
+///
+/// ```
+/// use ftcolor_checker::ModelChecker;
+/// use ftcolor_core::SixColoring;
+/// use ftcolor_model::Topology;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let topo = Topology::cycle(3)?;
+/// let safety = |topo: &Topology, outs: &[Option<_>]| {
+///     topo.first_conflict(outs).map(|(a, b)| format!("conflict {a}-{b}"))
+/// };
+/// let outcome = ModelChecker::new(&SixColoring, &topo, vec![10, 20, 30]).explore(safety)?;
+/// assert!(outcome.clean(), "{outcome}");
+/// let one = ModelChecker::new(&SixColoring, &topo, vec![10, 20, 30])
+///     .with_jobs(1)
+///     .explore(safety)?;
+/// assert_eq!(outcome, one); // bit-identical, whatever the thread count
+/// # Ok(())
+/// # }
+/// ```
+pub struct ModelChecker<'a, A: Algorithm> {
+    alg: &'a A,
+    topo: &'a Topology,
+    inputs: Vec<A::Input>,
+    max_configs: usize,
+    jobs: usize,
+    symmetry: bool,
+    por: bool,
+    extmem: Option<ExtmemConfig>,
+    bloom: Option<u64>,
+}
+
+/// The former name of [`ModelChecker`], kept for existing callers.
+pub type ParallelModelChecker<'a, A> = ModelChecker<'a, A>;
+
+impl<'a, A: Algorithm + Sync> ModelChecker<'a, A>
 where
-    A::Input: Clone,
+    A::State: Eq + Hash + Send + Sync,
+    A::Reg: Eq + Hash + Send + Sync,
+    A::Output: Eq + Hash + Send + Sync,
+    A::Input: Clone + Sync,
 {
-    match sym {
-        None => SafetyViolation {
-            description: canonical_desc,
-            schedule: schedule_to(parents, id, working_of),
-        },
-        Some(s) => {
-            let (schedule, _) = frame_schedule(parents, id, s, root_sig, working_of);
-            let mut exec = Execution::new(alg, topo, inputs.to_vec());
-            for set in &schedule {
-                exec.step_with(set);
-            }
+    /// Creates a checker with the default configuration cap (2,000,000)
+    /// and one worker per available CPU.
+    pub fn new(alg: &'a A, topo: &'a Topology, inputs: Vec<A::Input>) -> Self {
+        ModelChecker {
+            alg,
+            topo,
+            inputs,
+            max_configs: 2_000_000,
+            jobs: default_jobs(),
+            symmetry: false,
+            por: false,
+            extmem: None,
+            bloom: None,
+        }
+    }
+
+    /// Overrides the configuration cap; exploration beyond it returns a
+    /// truncated (but still sound for the explored part) outcome.
+    pub fn with_max_configs(mut self, cap: usize) -> Self {
+        self.max_configs = cap.max(1);
+        self
+    }
+
+    /// Sets the worker count; `0` means one worker per available CPU.
+    /// The outcome is identical for every value — only wall-clock
+    /// changes.
+    pub fn with_jobs(mut self, jobs: usize) -> Self {
+        self.jobs = if jobs == 0 { default_jobs() } else { jobs };
+        self
+    }
+
+    /// Enables **symmetry reduction**: configurations are canonicalized
+    /// under the cycle's automorphism group and one representative per
+    /// orbit is explored. Verdicts (safety / livelock / truncation) are
+    /// provably identical to full exploration; `configs`/`edges` counts
+    /// shrink by up to `2n` and all witnesses are de-canonicalized to
+    /// concrete schedules. Two soundness guards apply: exploration fails
+    /// with [`ModelCheckError::SymmetryUnsupported`] unless the topology
+    /// is a single cycle, and with
+    /// [`ModelCheckError::SymmetryUncertifiedAlgorithm`] unless the
+    /// algorithm certifies `Algorithm::relabel_view` (the group action
+    /// must reindex view-position-indexed state data when an
+    /// automorphism flips the order a process sees its neighbors in).
+    pub fn with_symmetry(mut self, on: bool) -> Self {
+        self.symmetry = on;
+        self
+    }
+
+    /// Enables certified **partial-order reduction** (see [`crate::por`]
+    /// for the construction and soundness proofs): only connected
+    /// activation subsets are branched on — and, for algorithms
+    /// certifying solo termination, only subsets of the canonical
+    /// working component. Safety, livelock, and truncation verdicts are
+    /// preserved, every witness remains a concretely replayable
+    /// schedule, and the reduction composes with
+    /// [`Self::with_symmetry`].
+    ///
+    /// Two guards apply before any reduced exploration: the algorithm
+    /// must certify [`ftcolor_model::Algorithm::por_certificate`]
+    /// (otherwise [`ModelCheckError::PorUncertifiedAlgorithm`]) and the
+    /// certificate must survive a dynamic commutation/termination probe
+    /// on the actual instance (otherwise
+    /// [`ModelCheckError::PorCertificateViolation`]).
+    ///
+    /// [`Self::exact_worst_case`] deliberately ignores this flag: the
+    /// staircase defers activations in ways that preserve verdicts but
+    /// not the per-path activation-count maximum.
+    pub fn with_por(mut self, on: bool) -> Self {
+        self.por = on;
+        self
+    }
+
+    /// Backs the visited-set with the external-memory store of
+    /// [`crate::extmem`]: the key→id map spills to sorted on-disk runs
+    /// past `config.ram_budget_bytes` and duplicates are detected in
+    /// batched streaming passes. Outcomes (dedup statistics included)
+    /// are bit-identical to in-RAM runs; only the node arena and edge
+    /// lists remain RAM-resident. Mutually exclusive with
+    /// [`Self::with_bloom`].
+    pub fn with_extmem(mut self, config: ExtmemConfig) -> Self {
+        self.extmem = Some(config);
+        self
+    }
+
+    /// Replaces the visited-set with a lossy Bloom filter of `bits`
+    /// bits (rounded up; minimum 1024) for falsification-only sweeps.
+    /// [`Self::explore`] outcomes then carry `lossy = true`: safety
+    /// violations are still sound and replayable, but livelock
+    /// detection is disabled and a clean run certifies nothing (a false
+    /// positive may have pruned real states — the estimated budget is
+    /// reported in [`ExploreStats::bloom_fp_per_million`]).
+    /// [`Self::exact_worst_case`] ignores this mode and always uses a
+    /// sound visited-set. Mutually exclusive with [`Self::with_extmem`].
+    pub fn with_bloom(mut self, bits: u64) -> Self {
+        self.bloom = Some(bits);
+        self
+    }
+
+    /// The worker count this checker will use.
+    pub fn jobs(&self) -> usize {
+        self.jobs
+    }
+
+    /// Explores the reachable configuration graph with `jobs` workers,
+    /// checking `safety` at every configuration (return
+    /// `Some(description)` to flag a violation) and searching for
+    /// livelock cycles.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelCheckError::InputLengthMismatch`] when inputs
+    /// don't match the topology,
+    /// [`ModelCheckError::SymmetryUnsupported`] /
+    /// [`ModelCheckError::SymmetryUncertifiedAlgorithm`] when symmetry
+    /// reduction cannot be applied soundly,
+    /// [`ModelCheckError::PorUncertifiedAlgorithm`] /
+    /// [`ModelCheckError::PorCertificateViolation`] when POR is enabled
+    /// without a (dynamically validated) certificate,
+    /// [`ModelCheckError::VisitedModeConflict`] when both external-
+    /// memory and Bloom modes are requested, and
+    /// [`ModelCheckError::ExtmemIo`] on run-file I/O failures.
+    pub fn explore(
+        &self,
+        safety: impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync,
+    ) -> Result<ModelCheckOutcome<A::Output>, ModelCheckError> {
+        let (g, codec) = self.explore_graph(&safety, true, self.por, true)?;
+        let mut decode_scratch = self.scratch()?;
+        let mut working_of = |id: usize| -> Vec<ProcessId> {
+            codec.restore(&mut decode_scratch, &g.nodes[id]);
+            decode_scratch.working().to_vec()
+        };
+        let safety_violation = g.first_violation.as_ref().map(|(id, desc)| {
+            let (schedule, _) = g.frame_schedule(*id, &mut working_of);
+            // Outside symmetry mode the parent chain *is* the concrete
+            // schedule. In symmetry mode it was de-canonicalized, so the
+            // description is regenerated by a concrete replay (falling
+            // back to the canonical-frame one if the predicate — against
+            // the contract — is not symmetry-invariant).
+            let description = match g.sym {
+                None => desc.clone(),
+                Some(_) => {
+                    let mut exec = Execution::new(self.alg, self.topo, self.inputs.clone());
+                    for set in &schedule {
+                        exec.step_with(set);
+                    }
+                    safety(self.topo, exec.outputs()).unwrap_or_else(|| desc.clone())
+                }
+            };
             SafetyViolation {
-                description: safety(topo, exec.outputs()).unwrap_or(canonical_desc),
+                description,
                 schedule,
             }
+        });
+        // A lossy (Bloom) graph is missing every suppressed edge, so any
+        // cycle verdict on it would be noise — livelock detection is
+        // categorically off.
+        let livelock = if g.lossy {
+            None
+        } else {
+            find_cycle(&g.edges)
+                .map(|(entry, raw)| g.livelock_witness(entry, &raw, &mut working_of))
+        };
+        Ok(ModelCheckOutcome {
+            configs: g.configs,
+            edges: g.edge_count,
+            fully_terminated_configs: g.fully_terminated,
+            safety_violation,
+            livelock,
+            outputs_seen: g.outputs_seen,
+            truncated: g.truncated,
+            lossy: g.lossy,
+            stats: g.stats,
+        })
+    }
+
+    /// Computes the **exact worst-case round complexity** over *all*
+    /// schedules: the maximum, over every execution path in the
+    /// configuration graph, of the largest per-process activation count.
+    ///
+    /// Requires the configuration graph to be acyclic (i.e. the
+    /// algorithm wait-free on this instance — e.g. Algorithm 1, as
+    /// certified by [`ModelChecker::explore`]); with a cycle the worst
+    /// case is unbounded and `None` is returned. Exploration is capped
+    /// like `explore`; a truncated exploration also returns `None`. POR
+    /// and Bloom modes are deliberately not applied here (the DP needs
+    /// every path and every edge); the external-memory mode is, since it
+    /// is exact.
+    ///
+    /// This turns the paper's *bounds* (`⌊3n/2⌋ + 4` for Algorithm 1)
+    /// into exact constants for small instances — experiment E6 reports
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelCheckError::InputLengthMismatch`] when inputs
+    /// don't match the topology.
+    pub fn exact_worst_case(&self) -> Result<Option<u64>, ModelCheckError> {
+        Ok(self.exact_worst_case_with_stats()?.0)
+    }
+
+    /// [`Self::exact_worst_case`] plus the exploration's performance
+    /// counters, so truncated (`Ok((None, _))`) runs can report the work
+    /// they did instead of silently discarding it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelCheckError::InputLengthMismatch`] when inputs
+    /// don't match the topology.
+    pub fn exact_worst_case_with_stats(
+        &self,
+    ) -> Result<(Option<u64>, ExploreStats), ModelCheckError> {
+        let (g, codec) = self.explore_graph(
+            &|_: &Topology, _: &[Option<A::Output>]| None,
+            false,
+            false,
+            false,
+        )?;
+        if g.truncated {
+            return Ok((None, g.stats)); // truncated: cannot certify
         }
+        let mut decode_scratch = self.scratch()?;
+        let mut working_of = |id: usize| -> Vec<ProcessId> {
+            codec.restore(&mut decode_scratch, &g.nodes[id]);
+            decode_scratch.working().to_vec()
+        };
+        let w = g.worst_case(self.topo.len(), &mut working_of);
+        Ok((w, g.stats))
+    }
+
+    /// A fresh execution in the initial configuration.
+    fn scratch(&self) -> Result<Execution<'a, A>, ModelCheckError> {
+        Execution::try_new(self.alg, self.topo, self.inputs.clone())
+            .map_err(|_| ModelCheckError::InputLengthMismatch)
+    }
+
+    /// Level-synchronized BFS: parallel expand, canonical sequential
+    /// merge. See the module docs for why the result does not depend on
+    /// the worker count.
+    fn explore_graph(
+        &self,
+        safety: &(impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync),
+        track_outputs: bool,
+        use_por: bool,
+        allow_lossy: bool,
+    ) -> Result<(Graph<A::Output>, ConfigCodec<A>), ModelCheckError> {
+        if self.extmem.is_some() && self.bloom.is_some() {
+            return Err(ModelCheckError::VisitedModeConflict);
+        }
+        let t0 = Instant::now();
+        let template = self.scratch()?;
+        let sym = if self.symmetry {
+            let group = CycleSymmetry::for_topology(self.topo)
+                .ok_or(ModelCheckError::SymmetryUnsupported)?;
+            // The group action must be able to reindex view-position-
+            // indexed state data. The hook's return value is
+            // state-independent by contract, so probing one (discarded)
+            // state clone certifies the algorithm.
+            let mut probe = template.state(ProcessId(0)).clone();
+            if !self.alg.relabel_view(&mut probe, &[1, 0]) {
+                return Err(ModelCheckError::SymmetryUncertifiedAlgorithm);
+            }
+            Some(group)
+        } else {
+            None
+        };
+        // POR gate: certificate resolved, then cross-examined
+        // dynamically before any reduced run.
+        let por = if use_por && self.por {
+            let staircase = por::staircase_for(self.alg.por_certificate())
+                .ok_or(ModelCheckError::PorUncertifiedAlgorithm)?;
+            por::certify_dynamic(self.alg, self.topo, &self.inputs, staircase)
+                .map_err(ModelCheckError::PorCertificateViolation)?;
+            Some(PorContext::new(self.topo, staircase))
+        } else {
+            None
+        };
+        let codec: ConfigCodec<A> = ConfigCodec::new(self.topo.len());
+        let root = codec.encode(&template);
+        let (root, root_sig) = match &sym {
+            Some(s) => s.canonicalize(&codec, self.alg, true, &root),
+            None => (root, SIGMA_ID),
+        };
+
+        let io_err = |e: std::io::Error| ModelCheckError::ExtmemIo(e.to_string());
+        let mut backend = match (&self.extmem, self.bloom) {
+            (Some(cfg), _) => {
+                let mut store = ExtVisited::new(cfg, 3 * self.topo.len()).map_err(io_err)?;
+                store
+                    .insert_batch([(root.clone(), node_id32(0))])
+                    .map_err(io_err)?;
+                Backend::Ext(store)
+            }
+            (None, Some(bits)) if allow_lossy => {
+                let mut filter = BloomVisited::new(bits);
+                filter.insert(&root);
+                Backend::Bloom(filter)
+            }
+            _ => {
+                let map = ShardedMap::new();
+                map.insert(root.clone(), 0);
+                Backend::Ram(map)
+            }
+        };
+
+        let mut g = Graph {
+            edges: vec![Vec::new()],
+            parents: vec![None],
+            nodes: vec![root.clone()],
+            configs: 1,
+            edge_count: 0,
+            fully_terminated: 0,
+            truncated: false,
+            first_violation: None,
+            outputs_seen: Vec::new(),
+            lossy: matches!(backend, Backend::Bloom(_)),
+            stats: ExploreStats::default(),
+            sym,
+            root_sig,
+        };
+        let mut seen_set: HashSet<A::Output> = HashSet::new();
+        let (mut dedup_hits, mut dedup_lookups) = (0u64, 0u64);
+        let (mut por_pruned, mut bloom_suppressed) = (0u64, 0u64);
+
+        let mut frontier: Vec<(usize, CfgKey)> = vec![(0, root)];
+        while !frontier.is_empty() {
+            // Once the cap has been reached, no node of this or any later
+            // level may expand (each is flagged as truncated) — skip the
+            // successor work entirely.
+            let expand = g.configs < self.max_configs;
+            let shared = match &backend {
+                Backend::Ram(m) => Some(m),
+                Backend::Ext(_) | Backend::Bloom(_) => None,
+            };
+            let results = self.expand_level(
+                &template,
+                &codec,
+                g.sym.as_ref(),
+                por.as_ref(),
+                &frontier,
+                safety,
+                shared,
+                expand,
+                track_outputs,
+            );
+
+            // External-memory mode: one batched streaming pass over the
+            // sorted runs resolves every key this level produced against
+            // all earlier levels (delayed duplicate detection). Looking
+            // up keys whose parent node the merge will later skip (cap)
+            // is harmless — lookups don't mutate bookkeeping.
+            let resolved: HashMap<CfgKey, usize, PassthroughBuild> =
+                if let Backend::Ext(store) = &mut backend {
+                    let queries: Vec<CfgKey> = results
+                        .iter()
+                        .flat_map(|r| {
+                            r.children.iter().filter_map(|c| match c {
+                                Child::Fresh(key, _, _) => Some(key.clone()),
+                                Child::Known(..) => None,
+                            })
+                        })
+                        .collect();
+                    store
+                        .batch_lookup(&queries)
+                        .map_err(io_err)?
+                        .into_iter()
+                        .map(|(k, id)| (k, id as usize))
+                        .collect()
+                } else {
+                    HashMap::default()
+                };
+            // Exact ids assigned to keys first seen in *this* level
+            // (external-memory and Bloom modes); the RAM path keeps them
+            // in the sharded map directly.
+            let mut level_new: HashMap<CfgKey, usize, PassthroughBuild> = HashMap::default();
+            let mut new_records: Vec<(CfgKey, u32)> = Vec::new();
+
+            // ---- merge, in ascending node-id order ----
+            let mut next_frontier: Vec<(usize, CfgKey)> = Vec::new();
+            for ((id, _), result) in frontier.iter().zip(results) {
+                let id = *id;
+                if track_outputs {
+                    for o in result.outputs {
+                        if seen_set.insert(o.clone()) {
+                            g.outputs_seen.push(o);
+                        }
+                    }
+                }
+                if g.first_violation.is_none() {
+                    if let Some(desc) = result.violation {
+                        g.first_violation = Some((id, desc));
+                    }
+                }
+                if result.terminal {
+                    g.fully_terminated += 1;
+                    continue;
+                }
+                if g.configs >= self.max_configs {
+                    g.truncated = true;
+                    continue;
+                }
+                por_pruned += result.pruned;
+                for child in result.children {
+                    dedup_lookups += 1;
+                    let (key, mask, sig) = match child {
+                        Child::Known(nid, mask, sig) => {
+                            dedup_hits += 1;
+                            g.push_edge(id, nid, mask, sig);
+                            continue;
+                        }
+                        Child::Fresh(key, mask, sig) => (key, mask, sig),
+                    };
+                    let next_id = match &mut backend {
+                        Backend::Ram(map) => match map.get(&key) {
+                            // Discovered by an earlier node of this level.
+                            Some(nid) => {
+                                dedup_hits += 1;
+                                nid
+                            }
+                            None => {
+                                map.insert(key.clone(), g.edges.len());
+                                g.admit(id, key, mask, sig, &mut next_frontier)
+                            }
+                        },
+                        Backend::Ext(_) => {
+                            match resolved.get(&key).or_else(|| level_new.get(&key)).copied() {
+                                Some(nid) => {
+                                    dedup_hits += 1;
+                                    nid
+                                }
+                                None => {
+                                    let nid = g.edges.len();
+                                    level_new.insert(key.clone(), nid);
+                                    new_records.push((key.clone(), node_id32(nid)));
+                                    g.admit(id, key, mask, sig, &mut next_frontier)
+                                }
+                            }
+                        }
+                        Backend::Bloom(filter) => {
+                            if let Some(&nid) = level_new.get(&key) {
+                                dedup_hits += 1;
+                                nid
+                            } else if filter.contains(&key) {
+                                // Claimed visited, but no id survives —
+                                // the edge cannot be recorded. This is
+                                // the lossiness: real duplicates lose
+                                // their back-edges (no cycle detection)
+                                // and false positives prune reachable
+                                // states.
+                                dedup_hits += 1;
+                                bloom_suppressed += 1;
+                                continue;
+                            } else {
+                                filter.insert(&key);
+                                level_new.insert(key.clone(), g.edges.len());
+                                g.admit(id, key, mask, sig, &mut next_frontier)
+                            }
+                        }
+                    };
+                    g.push_edge(id, next_id, mask, sig);
+                }
+            }
+            if let Backend::Ext(store) = &mut backend {
+                store.insert_batch(new_records.drain(..)).map_err(io_err)?;
+            }
+            frontier = next_frontier;
+        }
+
+        let (s, r, o) = codec.interned_counts();
+        // Rough visited-set footprint: per-config packed buffer + map
+        // entry + the node arena's key clone, plus the interner arenas.
+        let per_config = codec.approx_bytes_per_config() + std::mem::size_of::<CfgKey>();
+        g.stats = ExploreStats::measure(
+            g.configs,
+            t0.elapsed(),
+            (g.configs * per_config + codec.approx_interner_bytes()) as u64,
+            dedup_hits,
+            dedup_lookups,
+            (s + r + o) as u64,
+        );
+        g.stats.por_pruned_sets = por_pruned;
+        match &backend {
+            Backend::Ram(_) => {}
+            Backend::Ext(store) => {
+                let s = store.stats();
+                g.stats.extmem_spills = s.spills;
+                g.stats.extmem_disk_bytes = s.disk_bytes;
+                g.stats.extmem_merge_passes = s.merge_passes;
+            }
+            Backend::Bloom(filter) => {
+                g.stats.bloom_bits = filter.nbits();
+                g.stats.bloom_hashes = u64::from(BLOOM_HASHES);
+                g.stats.bloom_insertions = filter.insertions();
+                g.stats.bloom_suppressed_edges = bloom_suppressed;
+                g.stats.bloom_fp_per_million = filter.est_fp_per_million();
+            }
+        }
+        Ok((g, codec))
+    }
+
+    /// The parallel phase: expands every frontier node, returning one
+    /// [`Expansion`] per node *in frontier order*. Each worker owns a
+    /// scratch execution and generates successors clone-free by
+    /// step/undo. The visited-set (when present — the external-memory
+    /// and Bloom modes defer all classification to the merge) is only
+    /// read here, never written.
+    #[allow(clippy::too_many_arguments)]
+    fn expand_level(
+        &self,
+        template: &Execution<'a, A>,
+        codec: &ConfigCodec<A>,
+        sym: Option<&CycleSymmetry>,
+        por: Option<&PorContext>,
+        frontier: &[(usize, CfgKey)],
+        safety: &(impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync),
+        visited: Option<&ShardedMap>,
+        expand: bool,
+        track_outputs: bool,
+    ) -> Vec<Expansion<A::Output>> {
+        let expand_one = |scratch: &mut Execution<'a, A>, key: &CfgKey| -> Expansion<A::Output> {
+            codec.restore(scratch, key);
+            let outputs = if track_outputs {
+                scratch.outputs().iter().flatten().cloned().collect()
+            } else {
+                Vec::new()
+            };
+            // The predicate is pure, so evaluating it at configurations
+            // the merge ignores (those after the first violation) changes
+            // nothing observable.
+            let violation = safety(self.topo, scratch.outputs());
+            let terminal = scratch.all_returned();
+            let mut children = Vec::new();
+            let mut pruned = 0u64;
+            if !terminal && expand {
+                let subsets = match por {
+                    Some(p) => {
+                        let reduced = p.reduced_subsets(scratch.working());
+                        pruned = ((1u64 << scratch.working().len()) - 1) - reduced.len() as u64;
+                        reduced
+                    }
+                    None => subsets_with_masks(scratch.working()),
+                };
+                for (mask, set) in subsets {
+                    let touched = scratch.step_with(&set);
+                    let succ = codec.encode_delta(key, scratch, &touched);
+                    let (succ, sig) = match sym {
+                        Some(s) => s.canonicalize(codec, self.alg, true, &succ),
+                        None => (succ, SIGMA_ID),
+                    };
+                    children.push(match visited.and_then(|v| v.get(&succ)) {
+                        Some(nid) => Child::Known(nid, mask, sig),
+                        None => Child::Fresh(succ, mask, sig),
+                    });
+                    codec.restore_procs(scratch, &key.packed, &touched);
+                }
+            }
+            Expansion {
+                outputs,
+                violation,
+                terminal,
+                children,
+                pruned,
+            }
+        };
+
+        let workers = self.jobs.min(frontier.len()).max(1);
+        if workers == 1 {
+            let mut scratch = template.clone();
+            return frontier
+                .iter()
+                .map(|(_, key)| expand_one(&mut scratch, key))
+                .collect();
+        }
+
+        // Per-worker index ranges with back-half stealing: worker w owns
+        // an even slice of the frontier and raids the fullest remaining
+        // range when its own is exhausted.
+        let queues: Vec<RangeQueue> = (0..workers)
+            .map(|w| {
+                let lo = frontier.len() * w / workers;
+                let hi = frontier.len() * (w + 1) / workers;
+                RangeQueue::new(lo, hi)
+            })
+            .collect();
+        let chunk = (frontier.len() / (workers * 8)).max(1);
+
+        let mut results: Vec<Option<Expansion<A::Output>>> =
+            (0..frontier.len()).map(|_| None).collect();
+        let mut parts = crossbeam::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let queues = &queues;
+                    let expand_one = &expand_one;
+                    s.spawn(move |_| {
+                        let mut scratch = template.clone();
+                        let mut local: Vec<(usize, Expansion<A::Output>)> = Vec::new();
+                        let mut run = |range: std::ops::Range<usize>| {
+                            for i in range {
+                                local.push((i, expand_one(&mut scratch, &frontier[i].1)));
+                            }
+                        };
+                        loop {
+                            if let Some(range) = queues[w].claim(chunk) {
+                                run(range);
+                                continue;
+                            }
+                            // Own range dry: steal from whoever has the
+                            // most left (scan order fixed, outcome not —
+                            // but results are reassembled by index, so
+                            // scheduling can't leak into the output).
+                            let victim = (0..workers)
+                                .filter(|&v| v != w)
+                                .max_by_key(|&v| queues[v].remaining());
+                            match victim.and_then(|v| queues[v].steal()) {
+                                Some(range) => run(range),
+                                None => break,
+                            }
+                        }
+                        local
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("model-check worker panicked"))
+                .collect::<Vec<_>>()
+        })
+        .expect("model-check worker panicked");
+
+        for (i, expansion) in parts.drain(..).flatten() {
+            results[i] = Some(expansion);
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every frontier index expanded exactly once"))
+            .collect()
     }
 }
 
-/// Materializes a concrete [`LivelockWitness`] from a quotient-graph
-/// cycle. In symmetry mode the quotient cycle closes only up to an
-/// automorphism `ρ` (the composition of the inverted edge
-/// canonicalizers), so the concrete cycle is the quotient cycle
-/// **unrolled `order(ρ)` times** with the frame permutation advanced
-/// per edge — after which the concrete configuration genuinely repeats.
-pub(crate) fn concrete_livelock_witness(
-    parents: &[ParentLink],
-    entry: usize,
-    cycle: &[(ActivationSet, u16)],
-    sym: Option<&CycleSymmetry>,
-    root_sig: u16,
-    working_of: &mut impl FnMut(usize) -> Vec<ProcessId>,
-) -> LivelockWitness {
-    match sym {
-        None => LivelockWitness {
-            prefix: schedule_to(parents, entry, working_of),
-            cycle: cycle.iter().map(|(set, _)| set.clone()).collect(),
-        },
-        Some(s) => {
-            let (prefix, mut tau) = frame_schedule(parents, entry, s, root_sig, working_of);
-            let rho = cycle
-                .iter()
-                .fold(SIGMA_ID, |acc, (_, sig)| s.compose(acc, s.invert(*sig)));
-            let passes = s.order(rho);
-            let mut sets = Vec::with_capacity(passes * cycle.len());
-            for _ in 0..passes {
-                for (set, sig) in cycle {
-                    sets.push(s.apply_to_set(tau, set));
-                    tau = s.compose(tau, s.invert(*sig));
-                }
-            }
-            LivelockWitness {
+impl<O> Graph<O> {
+    /// Appends a freshly discovered node to the graph arenas and the next
+    /// frontier, returning its id. Shared by every visited-set backend so
+    /// the (parent, subset)-order id assignment is written once.
+    fn admit(
+        &mut self,
+        parent: usize,
+        key: CfgKey,
+        mask: u32,
+        sig: u16,
+        next_frontier: &mut Vec<(usize, CfgKey)>,
+    ) -> usize {
+        let nid = self.edges.len();
+        self.edges.push(Vec::new());
+        self.parents.push(Some((node_id32(parent), mask, sig)));
+        self.nodes.push(key.clone());
+        next_frontier.push((nid, key));
+        self.configs += 1;
+        nid
+    }
+
+    fn push_edge(&mut self, from: usize, to: usize, mask: u32, sig: u16) {
+        self.edges[from].push(Edge {
+            to: node_id32(to),
+            mask,
+            sig,
+        });
+        self.edge_count += 1;
+    }
+
+    /// Walks the BFS parent chain from node `id` back to the root and
+    /// returns the concrete schedule reaching it from the initial
+    /// configuration, plus the frame permutation `τ` at `id` (concrete
+    /// process = `τ[canonical]`; `SIGMA_ID` outside symmetry mode).
+    /// `working_of` resolves a node id to its configuration's working
+    /// list so each stored mask can be decoded in its parent's frame. In
+    /// symmetry mode every canonical-frame activation set is mapped
+    /// through the cumulative frame automorphism back to the original
+    /// instance's process labels.
+    fn frame_schedule(
+        &self,
+        mut id: usize,
+        working_of: &mut impl FnMut(usize) -> Vec<ProcessId>,
+    ) -> (Vec<ActivationSet>, u16) {
+        let mut chain: Vec<(ActivationSet, u16)> = Vec::new();
+        while let Some((p, mask, sig)) = &self.parents[id] {
+            id = *p as usize;
+            chain.push((decode_mask(*mask, &working_of(id)), *sig));
+        }
+        chain.reverse();
+        let Some(s) = &self.sym else {
+            return (chain.into_iter().map(|(set, _)| set).collect(), SIGMA_ID);
+        };
+        // Concrete root = inv(root_sig) · canonical root.
+        let mut tau = s.invert(self.root_sig);
+        let mut sched = Vec::with_capacity(chain.len());
+        for (set, sig) in chain {
+            sched.push(s.apply_to_set(tau, &set));
+            tau = s.compose(tau, s.invert(sig));
+        }
+        (sched, tau)
+    }
+
+    /// Materializes a concrete [`LivelockWitness`] from a [`find_cycle`]
+    /// lasso. In symmetry mode the quotient cycle closes only up to an
+    /// automorphism `ρ` (the composition of the inverted edge
+    /// canonicalizers), so the concrete cycle is the quotient cycle
+    /// **unrolled `order(ρ)` times** with the frame permutation advanced
+    /// per edge — after which the concrete configuration genuinely
+    /// repeats.
+    fn livelock_witness(
+        &self,
+        entry: usize,
+        raw: &[(usize, u32, u16)],
+        working_of: &mut impl FnMut(usize) -> Vec<ProcessId>,
+    ) -> LivelockWitness {
+        let cycle: Vec<(ActivationSet, u16)> = raw
+            .iter()
+            .map(|&(src, mask, sig)| (decode_mask(mask, &working_of(src)), sig))
+            .collect();
+        let (prefix, mut tau) = self.frame_schedule(entry, working_of);
+        let Some(s) = &self.sym else {
+            return LivelockWitness {
                 prefix,
-                cycle: sets,
+                cycle: cycle.into_iter().map(|(set, _)| set).collect(),
+            };
+        };
+        let rho = cycle
+            .iter()
+            .fold(SIGMA_ID, |acc, (_, sig)| s.compose(acc, s.invert(*sig)));
+        let passes = s.order(rho);
+        let mut sets = Vec::with_capacity(passes * cycle.len());
+        for _ in 0..passes {
+            for (set, sig) in &cycle {
+                sets.push(s.apply_to_set(tau, set));
+                tau = s.compose(tau, s.invert(*sig));
             }
         }
+        LivelockWitness {
+            prefix,
+            cycle: sets,
+        }
+    }
+
+    /// Exact worst-case per-process activation count over all paths of an
+    /// **acyclic** configuration graph with `n` processes: topological
+    /// order via Kahn's algorithm, then a per-process max-activation DP.
+    /// Returns `None` when the graph has a cycle (unbounded worst case).
+    ///
+    /// In symmetry mode each edge relabels the per-process counters
+    /// through its canonicalizing automorphism, so every DP entry is the
+    /// count vector of a *concrete* path and the maximum over the
+    /// quotient equals the maximum over the full graph.
+    fn worst_case(
+        &self,
+        n: usize,
+        working_of: &mut impl FnMut(usize) -> Vec<ProcessId>,
+    ) -> Option<u64> {
+        let edges = &self.edges;
+        let m = edges.len();
+        let mut indeg = vec![0usize; m];
+        for outs in edges {
+            for e in outs {
+                indeg[e.to as usize] += 1;
+            }
+        }
+        let mut order = Vec::with_capacity(m);
+        let mut q: VecDeque<usize> = (0..m).filter(|&v| indeg[v] == 0).collect();
+        while let Some(u) = q.pop_front() {
+            order.push(u);
+            for e in &edges[u] {
+                indeg[e.to as usize] -= 1;
+                if indeg[e.to as usize] == 0 {
+                    q.push_back(e.to as usize);
+                }
+            }
+        }
+        if order.len() != m {
+            return None; // cyclic
+        }
+
+        let mut best: Vec<Vec<u64>> = vec![vec![0; n]; m];
+        let mut answer = 0u64;
+        for &u in &order {
+            answer = answer.max(best[u].iter().copied().max().unwrap_or(0));
+            let from = best[u].clone();
+            let working = working_of(u);
+            for e in &edges[u] {
+                for (i, &acts) in from.iter().enumerate() {
+                    // Mask bit j activates working[j]; process i is
+                    // activated iff it sits at such a position in the
+                    // working list.
+                    let inc = u64::from(
+                        working
+                            .iter()
+                            .position(|p| p.index() == i)
+                            .is_some_and(|j| e.mask & (1 << j) != 0),
+                    );
+                    // Successor-frame index of source-frame process i.
+                    let j = match &self.sym {
+                        Some(s) => s.perm(e.sig)[i] as usize,
+                        None => i,
+                    };
+                    best[e.to as usize][j] = best[e.to as usize][j].max(acts + inc);
+                }
+            }
+        }
+        Some(answer)
     }
 }
 
 /// A livelock lasso: the cycle's entry node plus, per edge around the
 /// loop, the `(source node, subset bitmask, edge automorphism)` triple.
-pub(crate) type Lasso = (usize, Vec<(usize, u32, u16)>);
+type Lasso = (usize, Vec<(usize, u32, u16)>);
 
 /// Finds a cycle in the configuration graph via iterative DFS with
 /// tri-color marking; returns the cycle entry node and, per edge around
@@ -476,7 +1323,7 @@ pub(crate) type Lasso = (usize, Vec<(usize, u32, u16)>);
 /// out of node `u`, the stack entry stores `ei + 1`, so the edge from
 /// `stack[w]` toward `stack[w+1]` (or the closing back edge, for the top
 /// entry) is always `edges[node][stored_ei − 1]`.
-pub(crate) fn find_cycle(edges: &[Vec<Edge>]) -> Option<Lasso> {
+fn find_cycle(edges: &[Vec<Edge>]) -> Option<Lasso> {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
         White,
@@ -526,487 +1373,11 @@ pub(crate) fn find_cycle(edges: &[Vec<Edge>]) -> Option<Lasso> {
     None
 }
 
-/// Decodes a raw [`find_cycle`] result into `(activation set, edge
-/// automorphism)` pairs via each edge's source node.
-pub(crate) fn decode_cycle(
-    cycle: &[(usize, u32, u16)],
-    working_of: &mut impl FnMut(usize) -> Vec<ProcessId>,
-) -> Vec<(ActivationSet, u16)> {
-    cycle
-        .iter()
-        .map(|&(src, mask, sig)| (decode_mask(mask, &working_of(src)), sig))
-        .collect()
-}
-
-/// Exact worst-case per-process activation count over all paths of an
-/// **acyclic** configuration graph with `n` processes: topological order
-/// via Kahn's algorithm, then a per-process max-activation DP. Returns
-/// `None` when the graph has a cycle (unbounded worst case).
-///
-/// In symmetry mode each edge relabels the per-process counters through
-/// its canonicalizing automorphism, so every DP entry is the count
-/// vector of a *concrete* path and the maximum over the quotient equals
-/// the maximum over the full graph.
-pub(crate) fn worst_case_from_graph(
-    edges: &[Vec<Edge>],
-    n: usize,
-    sym: Option<&CycleSymmetry>,
-    working_of: &mut impl FnMut(usize) -> Vec<ProcessId>,
-) -> Option<u64> {
-    let m = edges.len();
-    let mut indeg = vec![0usize; m];
-    for outs in edges {
-        for e in outs {
-            indeg[e.to as usize] += 1;
-        }
-    }
-    let mut order = Vec::with_capacity(m);
-    let mut q: VecDeque<usize> = (0..m).filter(|&v| indeg[v] == 0).collect();
-    while let Some(u) = q.pop_front() {
-        order.push(u);
-        for e in &edges[u] {
-            indeg[e.to as usize] -= 1;
-            if indeg[e.to as usize] == 0 {
-                q.push_back(e.to as usize);
-            }
-        }
-    }
-    if order.len() != m {
-        return None; // cyclic
-    }
-
-    let mut best: Vec<Vec<u64>> = vec![vec![0; n]; m];
-    let mut answer = 0u64;
-    for &u in &order {
-        answer = answer.max(best[u].iter().copied().max().unwrap_or(0));
-        let from = best[u].clone();
-        let working = working_of(u);
-        for e in edges[u].clone() {
-            for (i, &acts) in from.iter().enumerate() {
-                // Mask bit j activates working[j]; process i is activated
-                // iff it sits at such a position in the working list.
-                let inc = u64::from(
-                    working
-                        .iter()
-                        .position(|p| p.index() == i)
-                        .is_some_and(|j| e.mask & (1 << j) != 0),
-                );
-                // Successor-frame index of source-frame process i.
-                let j = match sym {
-                    Some(s) => s.perm(e.sig)[i] as usize,
-                    None => i,
-                };
-                best[e.to as usize][j] = best[e.to as usize][j].max(acts + inc);
-            }
-        }
-    }
-    Some(answer)
-}
-
-/// Everything `explore`/`exact_worst_case` share: the quotiented (or
-/// plain) configuration graph plus bookkeeping. `nodes` keeps every
-/// packed configuration (cheap: the buffers are `Arc`-shared with the
-/// visited set) so packed edge masks can be decoded lazily when a
-/// witness is materialized.
-struct SeqGraph<O> {
-    edges: Vec<Vec<Edge>>,
-    parents: Vec<ParentLink>,
-    nodes: Vec<CfgKey>,
-    configs: usize,
-    edge_count: usize,
-    fully_terminated: usize,
-    truncated: bool,
-    first_violation: Option<(usize, String)>,
-    outputs_seen: Vec<O>,
-    stats: ExploreStats,
-    sym: Option<CycleSymmetry>,
-    root_sig: u16,
-}
-
-impl<'a, A: Algorithm> ModelChecker<'a, A>
-where
-    A::State: Eq + Hash,
-    A::Reg: Eq + Hash,
-    A::Output: Eq + Hash,
-    A::Input: Clone,
-{
-    /// Creates a checker with the default configuration cap (2,000,000).
-    pub fn new(alg: &'a A, topo: &'a Topology, inputs: Vec<A::Input>) -> Self {
-        ModelChecker {
-            alg,
-            topo,
-            inputs,
-            max_configs: 2_000_000,
-            symmetry: false,
-            por: false,
-        }
-    }
-
-    /// Overrides the configuration cap; exploration beyond it returns a
-    /// truncated (but still sound for the explored part) outcome.
-    pub fn with_max_configs(mut self, cap: usize) -> Self {
-        self.max_configs = cap.max(1);
-        self
-    }
-
-    /// Enables **symmetry reduction**: configurations are canonicalized
-    /// under the cycle's automorphism group and one representative per
-    /// orbit is explored. Verdicts (safety / livelock / truncation) are
-    /// provably identical to full exploration; `configs`/`edges` counts
-    /// shrink by up to `2n` and all witnesses are de-canonicalized to
-    /// concrete schedules. Two soundness guards apply: exploration fails
-    /// with [`ModelCheckError::SymmetryUnsupported`] unless the topology
-    /// is a single cycle, and with
-    /// [`ModelCheckError::SymmetryUncertifiedAlgorithm`] unless the
-    /// algorithm certifies `Algorithm::relabel_view` (the group action
-    /// must reindex view-position-indexed state data when an
-    /// automorphism flips the order a process sees its neighbors in).
-    pub fn with_symmetry(mut self, on: bool) -> Self {
-        self.symmetry = on;
-        self
-    }
-
-    /// Enables certified **partial-order reduction** (see [`crate::por`]
-    /// for the construction and soundness proofs): only connected
-    /// activation subsets are branched on — and, for algorithms
-    /// certifying solo termination, only subsets of the canonical
-    /// working component. Safety, livelock, and truncation verdicts are
-    /// preserved, every witness remains a concretely replayable
-    /// schedule, and the reduction composes with
-    /// [`Self::with_symmetry`].
-    ///
-    /// Two guards apply before any reduced exploration: the algorithm
-    /// must certify [`ftcolor_model::Algorithm::por_certificate`]
-    /// (otherwise [`ModelCheckError::PorUncertifiedAlgorithm`]) and the
-    /// certificate must survive a dynamic commutation/termination probe
-    /// on the actual instance (otherwise
-    /// [`ModelCheckError::PorCertificateViolation`]).
-    ///
-    /// [`Self::exact_worst_case`] deliberately ignores this flag: the
-    /// staircase defers activations in ways that preserve verdicts but
-    /// not the per-path activation-count maximum.
-    pub fn with_por(mut self, on: bool) -> Self {
-        self.por = on;
-        self
-    }
-
-    /// Resolves and dynamically cross-examines the POR certificate,
-    /// returning the reduction context (or `None` when POR is off).
-    fn por_context(&self) -> Result<Option<PorContext>, ModelCheckError> {
-        if !self.por {
-            return Ok(None);
-        }
-        por_gate(self.alg, self.topo, &self.inputs).map(Some)
-    }
-
-    fn symmetry_group(
-        &self,
-        scratch: &Execution<'_, A>,
-    ) -> Result<Option<CycleSymmetry>, ModelCheckError> {
-        if !self.symmetry {
-            return Ok(None);
-        }
-        let sym =
-            CycleSymmetry::for_topology(self.topo).ok_or(ModelCheckError::SymmetryUnsupported)?;
-        // The hook's return value is state-independent by contract, so
-        // probing one (discarded) state clone certifies the algorithm.
-        let mut probe = scratch.state(ProcessId(0)).clone();
-        if !self.alg.relabel_view(&mut probe, &[1, 0]) {
-            return Err(ModelCheckError::SymmetryUncertifiedAlgorithm);
-        }
-        Ok(Some(sym))
-    }
-
-    /// The compact-core BFS shared by [`Self::explore`] and
-    /// [`Self::exact_worst_case`]: step/undo successor generation on one
-    /// scratch execution, packed interned keys, incremental hashing,
-    /// optional orbit canonicalization.
-    fn build_graph(
-        &self,
-        safety: &impl Fn(&Topology, &[Option<A::Output>]) -> Option<String>,
-        track_outputs: bool,
-        use_por: bool,
-    ) -> Result<(SeqGraph<A::Output>, ConfigCodec<A>), ModelCheckError> {
-        let t0 = Instant::now();
-        let mut scratch = Execution::try_new(self.alg, self.topo, self.inputs.clone())
-            .map_err(|_| ModelCheckError::InputLengthMismatch)?;
-        let sym = self.symmetry_group(&scratch)?;
-        let por = if use_por { self.por_context()? } else { None };
-        let codec: ConfigCodec<A> = ConfigCodec::new(self.topo.len());
-
-        let root = codec.encode(&scratch);
-        let (root, root_sig) = match &sym {
-            Some(s) => s.canonicalize(&codec, self.alg, true, &root),
-            None => (root, SIGMA_ID),
-        };
-        if root_sig != SIGMA_ID {
-            codec.restore(&mut scratch, &root);
-        }
-
-        let mut visited: HashMap<CfgKey, usize, PassthroughBuild> =
-            HashMap::with_hasher(PassthroughBuild::default());
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut g = SeqGraph {
-            edges: vec![Vec::new()],
-            parents: vec![None],
-            nodes: Vec::new(),
-            configs: 1,
-            edge_count: 0,
-            fully_terminated: 0,
-            truncated: false,
-            first_violation: None,
-            outputs_seen: Vec::new(),
-            stats: ExploreStats::default(),
-            sym,
-            root_sig,
-        };
-        let mut seen_set: HashSet<A::Output> = HashSet::new();
-        let (mut dedup_hits, mut dedup_lookups) = (0u64, 0u64);
-        let mut por_pruned = 0u64;
-
-        visited.insert(root.clone(), 0);
-        g.nodes.push(root);
-        queue.push_back(0);
-
-        while let Some(id) = queue.pop_front() {
-            codec.restore(&mut scratch, &g.nodes[id]);
-            // Safety at this configuration (covers the crash-everything-
-            // here execution).
-            if track_outputs {
-                for o in scratch.outputs().iter().flatten() {
-                    if seen_set.insert(o.clone()) {
-                        g.outputs_seen.push(o.clone());
-                    }
-                }
-            }
-            if g.first_violation.is_none() {
-                if let Some(desc) = safety(self.topo, scratch.outputs()) {
-                    g.first_violation = Some((id, desc));
-                }
-            }
-            if scratch.all_returned() {
-                g.fully_terminated += 1;
-                continue;
-            }
-            if g.configs >= self.max_configs {
-                g.truncated = true;
-                continue;
-            }
-            let parent = g.nodes[id].clone();
-            let subsets = match &por {
-                Some(p) => {
-                    let reduced = p.reduced_subsets(scratch.working());
-                    por_pruned += ((1u64 << scratch.working().len()) - 1) - reduced.len() as u64;
-                    reduced
-                }
-                None => subsets_with_masks(scratch.working()),
-            };
-            for (mask, set) in subsets {
-                let touched = scratch.step_with(&set);
-                let key = codec.encode_delta(&parent, &scratch, &touched);
-                let (key, sig) = match &g.sym {
-                    Some(s) => s.canonicalize(&codec, self.alg, true, &key),
-                    None => (key, SIGMA_ID),
-                };
-                dedup_lookups += 1;
-                let next_id = match visited.get(&key) {
-                    Some(&nid) => {
-                        dedup_hits += 1;
-                        nid
-                    }
-                    None => {
-                        let nid = g.edges.len();
-                        visited.insert(key.clone(), nid);
-                        g.nodes.push(key);
-                        g.edges.push(Vec::new());
-                        g.parents.push(Some((node_id32(id), mask, sig)));
-                        queue.push_back(nid);
-                        g.configs += 1;
-                        nid
-                    }
-                };
-                g.edges[id].push(Edge {
-                    to: node_id32(next_id),
-                    mask,
-                    sig,
-                });
-                g.edge_count += 1;
-                codec.restore_procs(&mut scratch, &parent.packed, &touched);
-            }
-        }
-
-        g.stats = ExploreStats::measure(
-            g.configs,
-            t0.elapsed(),
-            visited_bytes(&codec, g.configs),
-            dedup_hits,
-            dedup_lookups,
-            interned_total(&codec),
-        );
-        g.stats.por_pruned_sets = por_pruned;
-        Ok((g, codec))
-    }
-
-    /// Explores the reachable configuration graph, checking `safety` at
-    /// every configuration (return `Some(description)` to flag a
-    /// violation) and searching for livelock cycles.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelCheckError::InputLengthMismatch`] when inputs don't
-    /// match the topology, and [`ModelCheckError::SymmetryUnsupported`]
-    /// when symmetry reduction is enabled on a non-cycle topology.
-    pub fn explore(
-        &self,
-        safety: impl Fn(&Topology, &[Option<A::Output>]) -> Option<String>,
-    ) -> Result<ModelCheckOutcome<A::Output>, ModelCheckError> {
-        let (g, codec) = self.build_graph(&safety, true, self.por)?;
-        let mut decode_scratch = Execution::try_new(self.alg, self.topo, self.inputs.clone())
-            .map_err(|_| ModelCheckError::InputLengthMismatch)?;
-        let mut working_of = |id: usize| -> Vec<ProcessId> {
-            codec.restore(&mut decode_scratch, &g.nodes[id]);
-            decode_scratch.working().to_vec()
-        };
-        let safety_violation = g.first_violation.as_ref().map(|(id, desc)| {
-            concrete_safety_witness(
-                self.alg,
-                self.topo,
-                &self.inputs,
-                &g.parents,
-                *id,
-                desc.clone(),
-                g.sym.as_ref(),
-                g.root_sig,
-                &safety,
-                &mut working_of,
-            )
-        });
-        let livelock = find_cycle(&g.edges).map(|(entry, raw)| {
-            let cycle = decode_cycle(&raw, &mut working_of);
-            concrete_livelock_witness(
-                &g.parents,
-                entry,
-                &cycle,
-                g.sym.as_ref(),
-                g.root_sig,
-                &mut working_of,
-            )
-        });
-        Ok(ModelCheckOutcome {
-            configs: g.configs,
-            edges: g.edge_count,
-            fully_terminated_configs: g.fully_terminated,
-            safety_violation,
-            livelock,
-            outputs_seen: g.outputs_seen,
-            truncated: g.truncated,
-            lossy: false,
-            stats: g.stats,
-        })
-    }
-
-    /// Computes the **exact worst-case round complexity** over *all*
-    /// schedules: the maximum, over every execution path in the
-    /// configuration graph, of the largest per-process activation count.
-    ///
-    /// Requires the configuration graph to be acyclic (i.e. the
-    /// algorithm wait-free on this instance — e.g. Algorithm 1, as
-    /// certified by [`ModelChecker::explore`]); with a cycle the worst
-    /// case is unbounded and `None` is returned. Exploration is capped
-    /// like `explore`; a truncated exploration also returns `None`.
-    ///
-    /// This turns the paper's *bounds* (`⌊3n/2⌋ + 4` for Algorithm 1)
-    /// into exact constants for small instances — experiment E6 reports
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelCheckError::InputLengthMismatch`] when inputs
-    /// don't match the topology.
-    pub fn exact_worst_case(&self) -> Result<Option<u64>, ModelCheckError> {
-        Ok(self.exact_worst_case_with_stats()?.0)
-    }
-
-    /// [`Self::exact_worst_case`] plus the exploration's performance
-    /// counters — in particular, callers can report *how much* work a
-    /// truncated (`Ok((None, _))`) exploration did instead of silently
-    /// discarding it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelCheckError::InputLengthMismatch`] when inputs
-    /// don't match the topology.
-    pub fn exact_worst_case_with_stats(
-        &self,
-    ) -> Result<(Option<u64>, ExploreStats), ModelCheckError> {
-        // POR is deliberately not applied here (see `with_por`): the DP
-        // needs every path's activation counts, which the staircase does
-        // not preserve.
-        let (g, codec) = self.build_graph(&|_, _| None, false, false)?;
-        if g.truncated {
-            return Ok((None, g.stats)); // truncated: cannot certify
-        }
-        let mut decode_scratch = Execution::try_new(self.alg, self.topo, self.inputs.clone())
-            .map_err(|_| ModelCheckError::InputLengthMismatch)?;
-        let mut working_of = |id: usize| -> Vec<ProcessId> {
-            codec.restore(&mut decode_scratch, &g.nodes[id]);
-            decode_scratch.working().to_vec()
-        };
-        let w = worst_case_from_graph(&g.edges, self.topo.len(), g.sym.as_ref(), &mut working_of);
-        Ok((w, g.stats))
-    }
-}
-
 /// Narrows a node id for packed [`Edge`]/[`ParentLink`] storage. Caps
 /// keep explorations far below `2^32` nodes; a hypothetical overflow
 /// panics rather than corrupting the graph.
-pub(crate) fn node_id32(id: usize) -> u32 {
+fn node_id32(id: usize) -> u32 {
     u32::try_from(id).expect("node ids fit in u32")
-}
-
-/// Resolves an algorithm's POR certificate and cross-examines it
-/// dynamically, returning a ready reduction context. Shared by the
-/// sequential and parallel engines so both apply the exact same gate
-/// (refusal errors included) before any reduced exploration.
-pub(crate) fn por_gate<A: Algorithm>(
-    alg: &A,
-    topo: &Topology,
-    inputs: &[A::Input],
-) -> Result<PorContext, ModelCheckError>
-where
-    A::State: Eq + Hash,
-    A::Reg: Eq + Hash,
-    A::Output: Eq + Hash,
-    A::Input: Clone,
-{
-    let staircase = por::staircase_for(alg.por_certificate())
-        .ok_or(ModelCheckError::PorUncertifiedAlgorithm)?;
-    por::certify_dynamic(alg, topo, inputs, staircase)
-        .map_err(ModelCheckError::PorCertificateViolation)?;
-    Ok(PorContext::new(topo, staircase))
-}
-
-/// Rough visited-set footprint: per-config packed buffer + map entry +
-/// the node arena's key clone, plus the shared interner arenas.
-pub(crate) fn visited_bytes<A: Algorithm>(codec: &ConfigCodec<A>, configs: usize) -> u64
-where
-    A::State: Eq + Hash,
-    A::Reg: Eq + Hash,
-    A::Output: Eq + Hash,
-{
-    let per = codec.approx_bytes_per_config() + std::mem::size_of::<CfgKey>();
-    (configs * per + codec.approx_interner_bytes()) as u64
-}
-
-/// Total distinct interned values across the three component arenas.
-pub(crate) fn interned_total<A: Algorithm>(codec: &ConfigCodec<A>) -> u64
-where
-    A::State: Eq + Hash,
-    A::Reg: Eq + Hash,
-    A::Output: Eq + Hash,
-{
-    let (s, r, o) = codec.interned_counts();
-    (s + r + o) as u64
 }
 
 #[cfg(test)]
@@ -1016,7 +1387,9 @@ mod tests {
     use ftcolor_core::{FiveColoring, SixColoring};
 
     /// Safety predicate for coloring: proper + palette.
-    fn coloring_safety(palette: u64) -> impl Fn(&Topology, &[Option<u64>]) -> Option<String> {
+    fn coloring_safety(
+        palette: u64,
+    ) -> impl Fn(&Topology, &[Option<u64>]) -> Option<String> + Sync {
         move |topo, outputs| {
             if let Some((a, b)) = topo.first_conflict(outputs) {
                 return Some(format!("conflict on edge {a}-{b}"));
@@ -1031,7 +1404,7 @@ mod tests {
 
     fn pair_safety(
         max_weight: u64,
-    ) -> impl Fn(&Topology, &[Option<ftcolor_core::PairColor>]) -> Option<String> {
+    ) -> impl Fn(&Topology, &[Option<ftcolor_core::PairColor>]) -> Option<String> + Sync {
         move |topo, outputs| {
             if let Some((a, b)) = topo.first_conflict(outputs) {
                 return Some(format!("conflict on edge {a}-{b}"));
@@ -1042,6 +1415,51 @@ mod tests {
                 .find(|c| c.weight() > max_weight)
                 .map(|c| format!("color {c} outside palette"))
         }
+    }
+
+    /// Replays `prefix`, then `cycle`, asserting the configuration
+    /// repeats without every process having returned.
+    fn assert_livelock_replays<A: Algorithm>(
+        alg: &A,
+        topo: &Topology,
+        ids: Vec<A::Input>,
+        lw: &LivelockWitness,
+    ) where
+        A::State: PartialEq + fmt::Debug,
+        A::Reg: PartialEq + fmt::Debug,
+        A::Output: PartialEq + fmt::Debug,
+    {
+        let mut exec = Execution::new(alg, topo, ids);
+        for set in &lw.prefix {
+            exec.step_with(set);
+        }
+        let probe = |e: &Execution<'_, A>| {
+            (0..topo.len())
+                .map(|i| {
+                    (
+                        e.state(ProcessId(i)).clone(),
+                        e.register(ProcessId(i)).cloned(),
+                        e.outputs()[i].clone(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let before = probe(&exec);
+        for set in &lw.cycle {
+            exec.step_with(set);
+        }
+        assert_eq!(
+            probe(&exec),
+            before,
+            "cycle must return to the same configuration"
+        );
+        assert!(!exec.all_returned());
+    }
+
+    /// A unique scratch directory under the system tempdir; removed by
+    /// the caller.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("ftcolor-mc-{tag}-{}", std::process::id()))
     }
 
     #[test]
@@ -1067,6 +1485,8 @@ mod tests {
         assert!(outcome.safety_violation.is_none(), "{outcome}");
         assert!(!outcome.truncated, "{outcome}");
         assert!(outcome.fully_terminated_configs > 0);
+        let lw = outcome.livelock.expect("alg2 livelock");
+        assert_livelock_replays(&FiveColoring, &topo, vec![0, 1, 2], &lw);
     }
 
     #[test]
@@ -1115,36 +1535,8 @@ mod tests {
         assert!(mis_violation(&topo, exec.outputs()).is_some());
 
         let lw = outcome.livelock.expect("starvation cycle must exist");
-        // Replay: run the prefix, then loop the cycle twice and observe
-        // that the configuration repeats (genuine livelock).
-        let mut exec = Execution::new(&LocalMaxMis, &topo, vec![1, 2, 3]);
-        for set in &lw.prefix {
-            exec.step_with(set);
-        }
-        let probe = |e: &Execution<'_, LocalMaxMis>| {
-            (0..3)
-                .map(|i| {
-                    (
-                        *e.state(ProcessId(i)),
-                        e.register(ProcessId(i)).cloned(),
-                        e.outputs()[i],
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        let before = probe(&exec);
-        for set in &lw.cycle {
-            exec.step_with(set);
-        }
-        assert_eq!(
-            probe(&exec),
-            before,
-            "cycle must return to the same configuration"
-        );
-        assert!(!exec.all_returned());
+        assert_livelock_replays(&LocalMaxMis, &topo, vec![1, 2, 3], &lw);
     }
-
-    use ftcolor_model::ProcessId;
 
     #[test]
     fn subset_enumeration_is_complete() {
@@ -1156,6 +1548,43 @@ mod tests {
             distinct.insert(format!("{s:?}"));
         }
         assert_eq!(distinct.len(), 7);
+    }
+
+    #[test]
+    fn outcomes_do_not_depend_on_the_worker_count() {
+        let topo = Topology::cycle(4).unwrap();
+        let run = |jobs: usize| {
+            ModelChecker::new(&EagerMis, &topo, vec![5, 9, 2, 1])
+                .with_jobs(jobs)
+                .explore(mis_violation)
+                .unwrap()
+        };
+        let one = run(1);
+        assert!(one.safety_violation.is_some());
+        for jobs in [2, 3, 8] {
+            let par = run(jobs);
+            assert_eq!(one, par, "jobs={jobs}");
+            // Dedup statistics replay the same bookkeeping exactly.
+            assert_eq!(one.stats.dedup_lookups, par.stats.dedup_lookups);
+            assert_eq!(one.stats.dedup_hits, par.stats.dedup_hits);
+        }
+    }
+
+    #[test]
+    fn truncation_does_not_depend_on_the_worker_count() {
+        let topo = Topology::cycle(4).unwrap();
+        for cap in [1, 7, 50, 333] {
+            let run = |jobs: usize| {
+                ModelChecker::new(&FiveColoring, &topo, vec![0, 1, 2, 3])
+                    .with_max_configs(cap)
+                    .with_jobs(jobs)
+                    .explore(coloring_safety(5))
+                    .unwrap()
+            };
+            let one = run(1);
+            assert!(one.truncated, "cap={cap}");
+            assert_eq!(one, run(4), "cap={cap}");
+        }
     }
 
     #[test]
@@ -1192,34 +1621,131 @@ mod tests {
     #[test]
     fn symmetry_livelock_witness_replays_concretely() {
         let topo = Topology::cycle(3).unwrap();
-        let outcome = ModelChecker::new(&FiveColoring, &topo, vec![0, 1, 2])
-            .with_symmetry(true)
-            .explore(coloring_safety(5))
-            .unwrap();
+        let run = |jobs: usize| {
+            ModelChecker::new(&FiveColoring, &topo, vec![0, 1, 2])
+                .with_symmetry(true)
+                .with_jobs(jobs)
+                .explore(coloring_safety(5))
+                .unwrap()
+        };
+        let outcome = run(1);
+        assert_eq!(outcome, run(8));
         let lw = outcome
             .livelock
             .expect("alg2 livelock survives the quotient");
-        let mut exec = Execution::new(&FiveColoring, &topo, vec![0, 1, 2]);
-        for set in &lw.prefix {
-            exec.step_with(set);
-        }
-        let probe = |e: &Execution<'_, FiveColoring>| {
-            (0..3)
-                .map(|i| {
-                    (
-                        *e.state(ProcessId(i)),
-                        e.register(ProcessId(i)).cloned(),
-                        e.outputs()[i],
-                    )
-                })
-                .collect::<Vec<_>>()
+        assert_livelock_replays(&FiveColoring, &topo, vec![0, 1, 2], &lw);
+    }
+
+    #[test]
+    fn por_prunes_and_does_not_depend_on_the_worker_count() {
+        let topo = Topology::cycle(4).unwrap();
+        let run = |jobs: usize| {
+            ModelChecker::new(&SixColoring, &topo, vec![0, 1, 2, 3])
+                .with_por(true)
+                .with_jobs(jobs)
+                .explore(pair_safety(2))
+                .unwrap()
         };
-        let before = probe(&exec);
-        for set in &lw.cycle {
-            exec.step_with(set);
+        let one = run(1);
+        assert!(one.clean() && one.stats.por_pruned_sets > 0);
+        for jobs in [2, 8] {
+            let par = run(jobs);
+            assert_eq!(one, par, "jobs={jobs}");
+            assert_eq!(one.stats.por_pruned_sets, par.stats.por_pruned_sets);
+            assert_eq!(one.stats.dedup_lookups, par.stats.dedup_lookups);
         }
-        assert_eq!(probe(&exec), before, "de-canonicalized cycle repeats");
-        assert!(!exec.all_returned());
+    }
+
+    #[test]
+    fn por_refuses_uncertified_algorithms() {
+        let topo = Topology::cycle(3).unwrap();
+        let err = ModelChecker::new(&EagerMis, &topo, vec![5, 9, 2])
+            .with_por(true)
+            .explore(mis_violation)
+            .unwrap_err();
+        assert_eq!(err, ModelCheckError::PorUncertifiedAlgorithm);
+    }
+
+    #[test]
+    fn extmem_is_bit_identical_to_ram_even_when_spilling() {
+        let topo = Topology::cycle(4).unwrap();
+        let ram = ModelChecker::new(&FiveColoring, &topo, vec![0, 1, 2, 3])
+            .with_jobs(4)
+            .explore(coloring_safety(5))
+            .unwrap();
+        let dir = scratch_dir("extmem");
+        // A zero budget forces a spill after every level — the worst
+        // case for delayed duplicate detection.
+        let ext = ModelChecker::new(&FiveColoring, &topo, vec![0, 1, 2, 3])
+            .with_jobs(4)
+            .with_extmem(ExtmemConfig {
+                dir: dir.clone(),
+                ram_budget_bytes: 0,
+            })
+            .explore(coloring_safety(5))
+            .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(ram, ext);
+        assert_eq!(ram.stats.dedup_hits, ext.stats.dedup_hits);
+        assert_eq!(ram.stats.dedup_lookups, ext.stats.dedup_lookups);
+        assert!(ext.stats.extmem_spills > 0);
+        assert!(ext.stats.extmem_disk_bytes > 0);
+    }
+
+    #[test]
+    fn bloom_is_lossy_but_violations_stay_sound() {
+        let topo = Topology::cycle(4).unwrap();
+        let exact = ModelChecker::new(&EagerMis, &topo, vec![5, 9, 2, 1])
+            .explore(mis_violation)
+            .unwrap();
+        // Generously sized filter: no false positives expected, so the
+        // first (lowest-id) violation matches the exact run's.
+        let lossy = ModelChecker::new(&EagerMis, &topo, vec![5, 9, 2, 1])
+            .with_bloom(1 << 20)
+            .explore(mis_violation)
+            .unwrap();
+        assert!(lossy.lossy);
+        assert!(lossy.livelock.is_none());
+        assert!(!lossy.clean());
+        assert_eq!(exact.safety_violation, lossy.safety_violation);
+        assert!(lossy.stats.bloom_insertions > 0);
+        assert_ne!(exact, lossy); // lossy runs never compare equal
+    }
+
+    #[test]
+    fn extmem_and_bloom_together_are_refused() {
+        let topo = Topology::cycle(3).unwrap();
+        let dir = scratch_dir("conflict");
+        let err = ModelChecker::new(&SixColoring, &topo, vec![0, 1, 2])
+            .with_extmem(ExtmemConfig {
+                dir: dir.clone(),
+                ram_budget_bytes: 1 << 20,
+            })
+            .with_bloom(1 << 16)
+            .explore(pair_safety(2))
+            .unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(err, ModelCheckError::VisitedModeConflict);
+    }
+
+    #[test]
+    fn jobs_zero_means_auto() {
+        let topo = Topology::cycle(3).unwrap();
+        let mc = ModelChecker::new(&SixColoring, &topo, vec![0, 1, 2]).with_jobs(0);
+        assert!(mc.jobs() >= 1);
+    }
+
+    #[test]
+    fn range_queue_claims_and_steals_disjointly() {
+        let q = RangeQueue::new(0, 100);
+        let a = q.claim(10).unwrap();
+        let b = q.steal().unwrap();
+        let c = q.claim(1000).unwrap();
+        assert_eq!(a, 0..10);
+        assert_eq!(b, 55..100);
+        assert_eq!(c, 10..55);
+        assert!(q.claim(1).is_none());
+        assert!(q.steal().is_none());
     }
 }
 
@@ -1238,6 +1764,11 @@ mod exact_tests {
         // conflicts under simultaneous wake-up).
         assert!(exact <= 8, "exact {exact} exceeds the proven bound");
         assert!(exact >= 2);
+        let one = ModelChecker::new(&SixColoring, &topo, vec![0, 1, 2])
+            .with_jobs(1)
+            .exact_worst_case()
+            .unwrap();
+        assert_eq!(one, Some(exact), "the bound does not depend on jobs");
     }
 
     #[test]

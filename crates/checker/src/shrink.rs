@@ -185,7 +185,7 @@ where
     /// identical for every value — only wall-clock changes.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = if jobs == 0 {
-            crate::parallel::default_jobs()
+            ftcolor_model::sweep::default_jobs()
         } else {
             jobs
         };

@@ -11,9 +11,14 @@
 //!   mapped to plan ticks via `tick_ms`; surviving copies are queued
 //!   and later written to the destination's stdin. Control frames
 //!   (`init_ok`, `decide`) are consumed directly and never faulted.
+//!   Plan time starts at the **last `init_ok`** — once every
+//!   initialized node has started and sent its first register write
+//!   (which travels in the same batch as its `init_ok`) — not at spawn,
+//!   so process start-up time, which grows under load, never eats into
+//!   the plan. Frames routed before that are drawn at tick 0.
 //! * **Crash adversary.** Fault-plan crashes become real `SIGKILL`s
 //!   ([`std::process::Child::kill`] on Unix), timed at
-//!   `at * tick_ms` milliseconds into the run. The paper's registers
+//!   `at * tick_ms` milliseconds of plan time. The paper's registers
 //!   survive crashes, so the router keeps a cache of each node's last
 //!   observed register write and answers `snapshot_req`s aimed at dead
 //!   nodes from it — substrate memory outliving the process, exactly
@@ -58,7 +63,8 @@ pub struct ClusterOptions {
     /// mid-protocol instead of after everyone already decided.
     pub pace_ms: u64,
     /// Wall milliseconds per fault-plan logical tick (delays, partition
-    /// windows, and crash times are all expressed in plan ticks).
+    /// windows, and crash times are all expressed in plan ticks). Plan
+    /// time starts when the last initialized node sends `init_ok`.
     pub tick_ms: u64,
     /// Hard wall-clock cap; at the cap the run stops and still-working
     /// nodes are reported as stalled (the orchestrator times out, it
@@ -368,15 +374,24 @@ where
     let mut decide_round = vec![0u64; n];
     let mut cache: Vec<Obs> = vec![None; n];
 
-    // The crash schedule, in wall-clock terms, soonest first.
-    let mut crashes: Vec<(Instant, usize)> = plan
-        .crashes
-        .iter()
-        .filter(|c| c.node < n)
-        .map(|c| (start + Duration::from_millis(c.at * tick_ms), c.node))
-        .collect();
-    crashes.sort_by_key(|&(at, node)| (at, node));
+    // Plan time (fault ticks and the crash clock) starts at the last
+    // `init_ok` of a node whose `init` was written; until then there
+    // is no crash schedule and every fate is drawn at tick 0.
+    let mut awaiting_ack = vec![false; n];
+    let mut plan_start: Option<Instant> = None;
+    let mut crashes: Vec<(Instant, usize)> = Vec::new();
     let mut next_crash = 0usize;
+    // The crash schedule, in wall-clock terms, soonest first.
+    let schedule_crashes = |anchor: Instant| {
+        let mut crashes: Vec<(Instant, usize)> = plan
+            .crashes
+            .iter()
+            .filter(|c| c.node < n)
+            .map(|c| (anchor + Duration::from_millis(c.at * tick_ms), c.node))
+            .collect();
+        crashes.sort_by_key(|&(at, node)| (at, node));
+        crashes
+    };
 
     // Hand every node its identity — except a withheld one. Ring
     // neighbors are listed in `Topology::cycle` order (ascending), so
@@ -402,6 +417,7 @@ where
         };
         let ms = ms_now(Instant::now());
         if let Some(bytes) = write_frame(slot, &frame, codec, &mut wpool) {
+            awaiting_ack[i] = true;
             wstats.frames_encoded += 1;
             wstats.bytes_on_wire += bytes as u64;
             entries.push(ClusterEntry::Deliver {
@@ -422,11 +438,19 @@ where
             let seq = entries.len() as u64;
             if frame.dest == ORCHESTRATOR {
                 stats.control += 1;
-                if let Body::Decide(d) = &frame.body {
-                    if decided[frame.src].is_none() {
+                match &frame.body {
+                    Body::Decide(d) if decided[frame.src].is_none() => {
                         decided[frame.src] = Some(d.output.clone());
                         decide_round[frame.src] = d.round;
                     }
+                    Body::InitOk(_) if awaiting_ack[frame.src] => {
+                        awaiting_ack[frame.src] = false;
+                        if !awaiting_ack.contains(&true) {
+                            plan_start = Some(at);
+                            crashes = schedule_crashes(at);
+                        }
+                    }
+                    _ => {}
                 }
                 entries.push(ClusterEntry::Send {
                     seq,
@@ -448,7 +472,10 @@ where
                     }
                 }
                 stats.sent += 1;
-                let ticks = ms / tick_ms;
+                let ticks = plan_start.map_or(0, |p| {
+                    u64::try_from(at.saturating_duration_since(p).as_millis()).unwrap_or(u64::MAX)
+                        / tick_ms
+                });
                 match draw_fate(plan, &mut rng, ticks, frame.src, frame.dest) {
                     Fate::PartitionDrop => {
                         stats.partition_dropped += 1;

@@ -178,10 +178,15 @@ where
                         cache[src] = Some((w.value.clone(), stamp));
                     }
                 }
-                if outbox[src].front() == Some(frame) {
-                    outbox[src].pop_front();
-                } else if synth[src].front() == Some(frame) {
+                // A cache-served read is journaled right after the
+                // delivery that caused it, so it is matched first: the
+                // replica of a dead node may hold an identical response
+                // the killed process never got to send, and consuming
+                // that one instead would strand the synthesized frame.
+                if synth[src].front() == Some(frame) {
                     synth[src].pop_front();
+                } else if outbox[src].front() == Some(frame) {
+                    outbox[src].pop_front();
                 } else if !is_tolerated_retransmit(frame, replicas[src].as_ref()) {
                     return Err(format!(
                         "replay: node {src} journaled `{}` -> {} (seq {seq}) but an honest \

@@ -35,7 +35,7 @@
 use ftcolor::analyze::{self, render_json, Diagnostic, RuleId};
 use ftcolor::checker::shrink::WITNESS_SCHEMA;
 use ftcolor::checker::{
-    ExploreStats, ExtmemConfig, FuzzConfig, LivelockWitness, ParallelModelChecker, SafetyViolation,
+    ExploreStats, ExtmemConfig, FuzzConfig, LivelockWitness, ModelChecker, SafetyViolation,
     ScheduleFuzzer, Shrinker, Witness, WitnessFixture,
 };
 use ftcolor::cluster::{self, ClusterOptions, ClusterTrace};
@@ -60,6 +60,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if opts.contains_key("help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let result = match cmd.as_str() {
         "color" => cmd_color(&opts),
         "modelcheck" => cmd_modelcheck(&opts),
@@ -112,6 +116,7 @@ USAGE:
                      (internal: one cluster node, spawned by `ftcolor cluster`;
                      speaks JSON lines or length-prefixed binary frames on
                      stdin/stdout — see README § wire formats)
+  ftcolor help       (also -h or --help, after any subcommand)
 
 FLAGS:
   --alg          alg1 | alg2 | alg2p | alg3 | alg3p    (default alg3)
@@ -188,7 +193,8 @@ FLAGS:
   --rto-ms       cluster: node retransmit timeout in ms  (default 25)
   --pace-ms      cluster: node pause per round in ms     (default 15;
                  nonzero stretches runs so SIGKILLs land mid-protocol)
-  --tick-ms      cluster: wall ms per fault-plan tick    (default 5)
+  --tick-ms      cluster: wall ms per fault-plan tick    (default 5;
+                 plan time starts at the last node's init_ok)
   --max-wall-ms  cluster: wall-clock cap before the run times out and
                  reports stalls                          (default 30000)
   --record       cluster: write the recorded trace to FILE (pretty JSON)
@@ -207,10 +213,12 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
-        let Some(key) = a.strip_prefix("--") else {
-            return Err(format!("expected a --flag, got `{a}`"));
+        let key = match a.strip_prefix("--") {
+            Some(key) => key,
+            None if a == "-h" => "help",
+            None => return Err(format!("expected a --flag, got `{a}`")),
         };
-        let value = if matches!(key, "timeline" | "emit-trace" | "symmetry" | "por") {
+        let value = if matches!(key, "timeline" | "emit-trace" | "symmetry" | "por" | "help") {
             "true".to_string()
         } else {
             it.next()
@@ -405,9 +413,6 @@ fn cmd_modelcheck(opts: &HashMap<String, String>) -> Result<(), String> {
         .get("bloom")
         .map(|b| b.parse().map_err(|e| format!("bad --bloom: {e}")))
         .transpose()?;
-    if extmem.is_some() && bloom.is_some() {
-        return Err("--extmem and --bloom are mutually exclusive".into());
-    }
     let format = get(opts, "format", "text");
     if !matches!(format, "text" | "json") {
         return Err(format!("unknown --format `{format}`"));
@@ -418,7 +423,7 @@ fn cmd_modelcheck(opts: &HashMap<String, String>) -> Result<(), String> {
     macro_rules! check {
         ($alg:expr, $safety:expr) => {{
             let safety = $safety;
-            let mut mc = ParallelModelChecker::new($alg, &topo, ids.clone())
+            let mut mc = ModelChecker::new($alg, &topo, ids.clone())
                 .with_max_configs(cap)
                 .with_jobs(jobs)
                 .with_symmetry(symmetry)

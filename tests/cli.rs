@@ -189,6 +189,22 @@ fn bad_flags_fail_gracefully() {
     let (_, stderr, ok) = run(&["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown subcommand"), "{stderr}");
+    let dir = std::env::temp_dir().join(format!("ftcolor-cli-conflict-{}", std::process::id()));
+    let (_, stderr, ok) = run(&[
+        "modelcheck",
+        "--ids",
+        "0,1,2",
+        "--extmem",
+        dir.to_str().unwrap(),
+        "--bloom",
+        "65536",
+    ]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(!ok);
+    assert!(
+        stderr.contains("the external-memory and Bloom visited-set modes are mutually exclusive"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -196,6 +212,16 @@ fn help_prints_usage() {
     let (stdout, _, ok) = run(&["help"]);
     assert!(ok);
     assert!(stdout.contains("USAGE"), "{stdout}");
+    for args in [
+        ["serve", "--help"],
+        ["modelcheck", "--help"],
+        ["serve", "-h"],
+        ["modelcheck", "-h"],
+    ] {
+        let (stdout, stderr, ok) = run(&args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(stdout.contains("USAGE"), "{args:?}: {stdout}");
+    }
 }
 
 #[test]

@@ -2,14 +2,14 @@
 //! ([`ftcolor::checker::extmem`]): under arbitrary insert/lookup
 //! interleavings, spill budgets, and forced hash collisions, the
 //! disk-backed store must be observationally equivalent to a plain
-//! in-RAM map — and the whole parallel checker running on top of it
+//! in-RAM map — and the whole model checker running on top of it
 //! must stay bit-identical to its RAM-backed twin. The lossy Bloom
 //! sweep gets the complementary honesty checks: known-witness
 //! instances are still falsified, and a Bloom run can never claim
 //! cleanliness.
 
 use ftcolor::checker::extmem::{BloomVisited, ExtVisited, ExtmemConfig};
-use ftcolor::checker::ParallelModelChecker;
+use ftcolor::checker::ModelChecker;
 use ftcolor::core::mis::{mis_violation, EagerMis};
 use ftcolor::model::encode::CfgKey;
 use ftcolor::model::inputs;
@@ -112,7 +112,7 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// End-to-end: the parallel checker on the disk-backed visited set
+    /// End-to-end: the model checker on the disk-backed visited set
     /// is bit-identical — outcome *and* dedup bookkeeping — to the
     /// RAM-backed run, across random instances, caps, budgets, and
     /// thread counts.
@@ -126,13 +126,13 @@ proptest! {
     ) {
         let ids = inputs::random_unique(n, 64, idseed);
         let topo = Topology::cycle(n).unwrap();
-        let ram = ParallelModelChecker::new(&FiveColoring, &topo, ids.clone())
+        let ram = ModelChecker::new(&FiveColoring, &topo, ids.clone())
             .with_max_configs(cap)
             .with_jobs(jobs)
             .explore(coloring_safety)
             .unwrap();
         let dir = scratch_dir("engine");
-        let ext = ParallelModelChecker::new(&FiveColoring, &topo, ids)
+        let ext = ModelChecker::new(&FiveColoring, &topo, ids)
             .with_max_configs(cap)
             .with_jobs(jobs)
             .with_extmem(ExtmemConfig { dir: dir.clone(), ram_budget_bytes: budget })
@@ -174,10 +174,10 @@ proptest! {
 fn bloom_never_falsely_reports_clean_on_known_witnesses() {
     let topo = Topology::cycle(4).unwrap();
     let ids = vec![5u64, 9, 2, 1];
-    let exact = ParallelModelChecker::new(&EagerMis, &topo, ids.clone())
+    let exact = ModelChecker::new(&EagerMis, &topo, ids.clone())
         .explore(mis_violation)
         .unwrap();
-    let lossy = ParallelModelChecker::new(&EagerMis, &topo, ids.clone())
+    let lossy = ModelChecker::new(&EagerMis, &topo, ids.clone())
         .with_bloom(1 << 22)
         .explore(mis_violation)
         .unwrap();
@@ -202,13 +202,13 @@ fn bloom_never_falsely_reports_clean_on_known_witnesses() {
 #[test]
 fn clean_instances_stay_unclaimed_under_bloom() {
     let topo = Topology::cycle(3).unwrap();
-    let lossy = ParallelModelChecker::new(&SixColoring, &topo, vec![0, 1, 2])
+    let lossy = ModelChecker::new(&SixColoring, &topo, vec![0, 1, 2])
         .with_bloom(1 << 20)
         .explore(|_, _| None)
         .unwrap();
     assert!(lossy.safety_violation.is_none() && lossy.livelock.is_none());
     assert!(lossy.lossy && !lossy.clean());
-    let exact = ParallelModelChecker::new(&SixColoring, &topo, vec![0, 1, 2])
+    let exact = ModelChecker::new(&SixColoring, &topo, vec![0, 1, 2])
         .explore(|_, _| None)
         .unwrap();
     assert!(exact.clean(), "the sound run may certify cleanliness");

@@ -1,6 +1,7 @@
-//! Differential harness: the parallel model checker must be
-//! **bit-identical** to the sequential one on every instance, at every
-//! thread count.
+//! Differential harness: the model checker must be **bit-identical** to
+//! a deliberately naive reference oracle (`oracle/mod.rs`, written only
+//! against the public `Execution`/`Topology` API) on every instance, at
+//! every thread count.
 //!
 //! The matrix covers the paper's algorithm spectrum — Algorithm 1
 //! (wait-free, acyclic graph), Algorithm 2 (the crash livelock),
@@ -17,7 +18,9 @@
 //! a schedule-dependent merge — fails loudly with the instance and
 //! thread count in the message.
 
-use ftcolor::checker::{ModelChecker, ParallelModelChecker};
+mod oracle;
+
+use ftcolor::checker::ModelChecker;
 use ftcolor::core::mis::{mis_violation, EagerMis};
 use ftcolor::core::{FiveColoring, FiveColoringPatched, SixColoring};
 use ftcolor::model::{Algorithm, Topology};
@@ -41,9 +44,9 @@ fn ids_for(n: usize) -> Vec<u64> {
     (0..n as u64).map(|i| (i * 7 + 3) % 17).collect()
 }
 
-/// Runs the sequential checker once and the parallel checker at every
-/// thread count, asserting the complete outcomes (and the exact
-/// worst-case bounds) are equal.
+/// Runs the oracle once and the model checker at every thread count,
+/// asserting the complete outcomes (and the exact worst-case bounds)
+/// are equal.
 fn assert_equivalent<A>(
     label: &str,
     alg: &A,
@@ -59,39 +62,35 @@ fn assert_equivalent<A>(
 {
     let tname = topo.name();
     let ids: Vec<A::Input> = ids_for(topo.len()).into_iter().map(Into::into).collect();
-    let seq = ModelChecker::new(alg, topo, ids.clone())
-        .with_max_configs(cap)
-        .explore(safety)
-        .unwrap();
-    let seq_worst = ModelChecker::new(alg, topo, ids.clone())
-        .with_max_configs(cap)
-        .exact_worst_case()
-        .unwrap();
+    let (expected, expected_worst) = oracle::check(alg, topo, ids.clone(), cap, safety);
     for jobs in JOB_COUNTS {
-        let checker = ParallelModelChecker::new(alg, topo, ids.clone())
+        let checker = ModelChecker::new(alg, topo, ids.clone())
             .with_max_configs(cap)
             .with_jobs(jobs);
-        let par = checker.explore(safety).unwrap();
+        let got = checker.explore(safety).unwrap();
         assert_eq!(
-            seq, par,
-            "{label} on {tname}: parallel outcome diverged at jobs={jobs}"
+            expected, got,
+            "{label} on {tname}: outcome diverged from the oracle at jobs={jobs}"
         );
         // Spot-assert the witness components so a future PartialEq
         // change on the outcome struct cannot silently weaken the test.
-        assert_eq!(seq.configs, par.configs, "{label}/{tname}/jobs={jobs}");
-        assert_eq!(seq.edges, par.edges, "{label}/{tname}/jobs={jobs}");
+        assert_eq!(expected.configs, got.configs, "{label}/{tname}/jobs={jobs}");
+        assert_eq!(expected.edges, got.edges, "{label}/{tname}/jobs={jobs}");
         assert_eq!(
-            seq.safety_violation, par.safety_violation,
+            expected.safety_violation, got.safety_violation,
             "{label}/{tname}/jobs={jobs}"
         );
-        assert_eq!(seq.livelock, par.livelock, "{label}/{tname}/jobs={jobs}");
         assert_eq!(
-            seq.outputs_seen, par.outputs_seen,
+            expected.livelock, got.livelock,
             "{label}/{tname}/jobs={jobs}"
         );
-        let par_worst = checker.exact_worst_case().unwrap();
         assert_eq!(
-            seq_worst, par_worst,
+            expected.outputs_seen, got.outputs_seen,
+            "{label}/{tname}/jobs={jobs}"
+        );
+        let worst = checker.exact_worst_case().unwrap();
+        assert_eq!(
+            expected_worst, worst,
             "{label} on {tname}: worst-case bound diverged at jobs={jobs}"
         );
     }
@@ -161,26 +160,25 @@ fn violation_witness_is_schedule_for_schedule_identical() {
     // witness schedule step by step at every thread count.
     let topo = Topology::cycle(4).unwrap();
     let ids = vec![5u64, 9, 2, 1];
-    let seq = ModelChecker::new(&EagerMis, &topo, ids.clone())
-        .explore(mis_violation)
-        .unwrap()
+    let expected = oracle::check(&EagerMis, &topo, ids.clone(), usize::MAX, mis_violation)
+        .0
         .safety_violation
-        .expect("sequential checker finds the In/In violation");
+        .expect("the oracle finds the In/In violation");
     for jobs in JOB_COUNTS {
-        let par = ParallelModelChecker::new(&EagerMis, &topo, ids.clone())
+        let got = ModelChecker::new(&EagerMis, &topo, ids.clone())
             .with_jobs(jobs)
             .explore(mis_violation)
             .unwrap()
             .safety_violation
-            .expect("parallel checker finds the In/In violation");
-        assert_eq!(seq.description, par.description, "jobs={jobs}");
+            .expect("the model checker finds the In/In violation");
+        assert_eq!(expected.description, got.description, "jobs={jobs}");
         assert_eq!(
-            seq.schedule.len(),
-            par.schedule.len(),
+            expected.schedule.len(),
+            got.schedule.len(),
             "witness length diverged at jobs={jobs}"
         );
-        for (t, (s, p)) in seq.schedule.iter().zip(&par.schedule).enumerate() {
-            assert_eq!(s, p, "witness step {t} diverged at jobs={jobs}");
+        for (t, (e, g)) in expected.schedule.iter().zip(&got.schedule).enumerate() {
+            assert_eq!(e, g, "witness step {t} diverged at jobs={jobs}");
         }
     }
 }

@@ -9,10 +9,11 @@
 //!
 //! The gate itself is on trial too: the `PorLiar` mutant (which claims
 //! a commutation certificate while smuggling state through a shared
-//! atomic clock) must be refused by the dynamic probe in both engines,
-//! and algorithms without any certificate must be refused statically.
+//! atomic clock) must be refused by the dynamic probe at every thread
+//! count, and algorithms without any certificate must be refused
+//! statically.
 
-use ftcolor::checker::{ModelCheckError, ModelCheckOutcome, ModelChecker, ParallelModelChecker};
+use ftcolor::checker::{ModelCheckError, ModelCheckOutcome, ModelChecker};
 use ftcolor::core::mis::{mis_violation, EagerMis};
 use ftcolor::core::mutants::PorLiar;
 use ftcolor::prelude::*;
@@ -74,24 +75,16 @@ fn assert_equal_verdicts<O: std::fmt::Debug>(
 /// The full `{baseline, por, sym, por+sym} × jobs {1, 8}` differential
 /// grid for one algorithm on one topology. Symmetry modes are skipped
 /// on non-cycle topologies (the checker refuses them by design), and
-/// the parallel engine is pinned bit-identical to the sequential one
-/// per mode.
+/// every mode's outcome is pinned bit-identical between one worker and
+/// eight.
 macro_rules! differential_grid {
     ($alg:expr, $topo:expr, $ids:expr, $cap:expr, $safety:expr, $label:expr) => {{
         let topo = $topo;
         let ids: Vec<u64> = $ids;
         let is_cycle = topo.len() >= 3
             && topo.edges().filter(|(a, b)| a.index() != b.index()).count() == topo.len();
-        let seq = |por: bool, sym: bool| {
+        let run = |por: bool, sym: bool, jobs: usize| {
             ModelChecker::new($alg, &topo, ids.clone())
-                .with_max_configs($cap)
-                .with_por(por)
-                .with_symmetry(sym)
-                .explore($safety)
-                .unwrap()
-        };
-        let par = |por: bool, sym: bool, jobs: usize| {
-            ParallelModelChecker::new($alg, &topo, ids.clone())
                 .with_max_configs($cap)
                 .with_por(por)
                 .with_symmetry(sym)
@@ -99,28 +92,26 @@ macro_rules! differential_grid {
                 .explore($safety)
                 .unwrap()
         };
-        let baseline = seq(false, false);
+        let baseline = run(false, false, 1);
         let modes: Vec<(bool, bool)> = if is_cycle {
             vec![(true, false), (false, true), (true, true)]
         } else {
             vec![(true, false)]
         };
         for &(por, sym) in &modes {
-            let reduced = seq(por, sym);
+            let reduced = run(por, sym, 1);
             let label = format!("{} por={por} sym={sym}", $label);
             assert_equal_verdicts(&baseline, &reduced, &label);
-            for jobs in [1usize, 8] {
-                let p = par(por, sym, jobs);
-                assert_eq!(reduced, p, "{label} jobs={jobs}: seq/par bit-identity");
-                assert_eq!(
-                    reduced.stats.dedup_lookups, p.stats.dedup_lookups,
-                    "{label} jobs={jobs}: dedup bookkeeping"
-                );
-                assert_eq!(
-                    reduced.stats.por_pruned_sets, p.stats.por_pruned_sets,
-                    "{label} jobs={jobs}: pruning accounting"
-                );
-            }
+            let p = run(por, sym, 8);
+            assert_eq!(reduced, p, "{label}: jobs 1/8 bit-identity");
+            assert_eq!(
+                reduced.stats.dedup_lookups, p.stats.dedup_lookups,
+                "{label}: jobs 1/8 dedup bookkeeping"
+            );
+            assert_eq!(
+                reduced.stats.por_pruned_sets, p.stats.por_pruned_sets,
+                "{label}: jobs 1/8 pruning accounting"
+            );
         }
         baseline
     }};
@@ -265,28 +256,26 @@ fn por_livelock_witnesses_replay_concretely() {
 }
 
 #[test]
-fn por_liar_is_refused_by_the_dynamic_gate_in_both_engines() {
+fn por_liar_is_refused_by_the_dynamic_gate_at_every_thread_count() {
     let topo = Topology::cycle(4).unwrap();
-    let seq_err = ModelChecker::new(&PorLiar::new(), &topo, vec![0, 1, 2, 3])
+    let err = ModelChecker::new(&PorLiar::new(), &topo, vec![0, 1, 2, 3])
         .with_por(true)
+        .with_jobs(1)
         .explore(|_, _| None)
         .unwrap_err();
-    let ModelCheckError::PorCertificateViolation(why) = &seq_err else {
-        panic!("expected a certificate violation, got {seq_err:?}");
+    let ModelCheckError::PorCertificateViolation(why) = &err else {
+        panic!("expected a certificate violation, got {err:?}");
     };
     assert!(
         why.contains("do not commute"),
         "the probe must name the commutation failure: {why}"
     );
-    let par_err = ParallelModelChecker::new(&PorLiar::new(), &topo, vec![0, 1, 2, 3])
+    let err = ModelChecker::new(&PorLiar::new(), &topo, vec![0, 1, 2, 3])
         .with_por(true)
         .with_jobs(4)
         .explore(|_, _| None)
         .unwrap_err();
-    assert!(matches!(
-        par_err,
-        ModelCheckError::PorCertificateViolation(_)
-    ));
+    assert!(matches!(err, ModelCheckError::PorCertificateViolation(_)));
     // Without --por the liar is a perfectly legal (if weird) algorithm.
     let ok = ModelChecker::new(&PorLiar::new(), &topo, vec![0, 1, 2, 3])
         .with_max_configs(5_000)
@@ -298,14 +287,12 @@ fn por_liar_is_refused_by_the_dynamic_gate_in_both_engines() {
 #[test]
 fn uncertified_algorithms_are_refused_statically() {
     let topo = Topology::cycle(3).unwrap();
-    let err = ModelChecker::new(&EagerMis, &topo, vec![5, 9, 2])
-        .with_por(true)
-        .explore(mis_violation)
-        .unwrap_err();
-    assert_eq!(err, ModelCheckError::PorUncertifiedAlgorithm);
-    let err = ParallelModelChecker::new(&EagerMis, &topo, vec![5, 9, 2])
-        .with_por(true)
-        .explore(mis_violation)
-        .unwrap_err();
-    assert_eq!(err, ModelCheckError::PorUncertifiedAlgorithm);
+    for jobs in [1, 4] {
+        let err = ModelChecker::new(&EagerMis, &topo, vec![5, 9, 2])
+            .with_por(true)
+            .with_jobs(jobs)
+            .explore(mis_violation)
+            .unwrap_err();
+        assert_eq!(err, ModelCheckError::PorUncertifiedAlgorithm, "jobs={jobs}");
+    }
 }

@@ -31,7 +31,7 @@ fn mis_witness() -> (Topology, Vec<u64>, SafetyViolation) {
 
 /// The result (schedule, description, and the deterministic replay
 /// accounting) is identical at every worker count — the same contract
-/// the parallel model checker honors.
+/// the model checker honors.
 #[test]
 fn shrinking_is_jobs_invariant() {
     let (topo, ids, v) = mis_witness();
