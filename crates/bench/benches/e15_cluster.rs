@@ -9,10 +9,10 @@ use std::collections::VecDeque;
 use std::path::Path;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ftcolor_cluster::{replay_trace, ClusterTrace, NodeCore};
+use ftcolor_cluster::{replay_trace, ClusterTrace};
 use ftcolor_core::FiveColoringPatched;
 use ftcolor_model::inputs;
-use ftcolor_net::{Body, Frame, ORCHESTRATOR};
+use ftcolor_net::{Body, Frame, NodeCore, ORCHESTRATOR};
 
 /// Drives a ring of `n` in-process [`NodeCore`]s to a full coloring,
 /// round-tripping every frame through the JSON wire codec — the
@@ -28,8 +28,10 @@ fn ring_to_completion(n: usize, seed: u64) -> Vec<Option<u64>> {
             NodeCore::new(&alg, i, nb, ids[i])
         })
         .collect();
+    let mut out: Vec<Frame> = Vec::new();
     for core in &mut cores {
-        queue.extend(core.start());
+        core.start(&mut out);
+        queue.extend(out.drain(..));
     }
     let mut colors: Vec<Option<u64>> = vec![None; n];
     while let Some(frame) = queue.pop_front() {
@@ -40,7 +42,8 @@ fn ring_to_completion(n: usize, seed: u64) -> Vec<Option<u64>> {
             }
             continue;
         }
-        queue.extend(cores[frame.dest].on_frame(&frame));
+        cores[frame.dest].on_frame(frame, &mut out);
+        queue.extend(out.drain(..));
     }
     colors
 }

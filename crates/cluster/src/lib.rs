@@ -21,7 +21,9 @@
 //! their seed — so the orchestrator journals every routed frame into a
 //! [`ClusterTrace`], and [`replay_trace`] re-verifies that journal
 //! deterministically against in-process replicas of the node state
-//! machine ([`NodeCore`], the exact code the node binary runs). A
+//! machine ([`ftcolor_net::NodeCore`], the exact code the node binary
+//! and the network simulator run; the register protocol is described
+//! in [`ftcolor_net::node`]). A
 //! failing live run shrinks to a committed fixture that replays
 //! forever, with no processes spawned.
 //!
@@ -35,14 +37,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod core;
 pub mod named;
 pub mod node;
 pub mod orchestrator;
 pub mod replay;
 pub mod trace;
 
-pub use crate::core::{fresher, obs_stamp, NodeCore, Obs};
 pub use named::{
     cluster_inputs, cluster_replay, cluster_run, ClusterOutcome, ClusterSummary, CLUSTER_ALGS,
 };

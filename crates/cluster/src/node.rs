@@ -1,8 +1,9 @@
 //! The live node process: `ftcolor node [--codec json|binary]`.
 //!
 //! One OS process per ring node. Protocol logic lives entirely in
-//! [`crate::NodeCore`]; this module is the I/O shell around it, in the
-//! Gossip-Glomers / Maelstrom idiom:
+//! [`ftcolor_net::NodeCore`] (the register protocol is described in
+//! [`ftcolor_net::node`]); this module is the I/O shell around it, in
+//! the Gossip-Glomers / Maelstrom idiom:
 //!
 //! * stdin — frames from the orchestrator's router, line-delimited JSON
 //!   by default or length-prefixed binary records under
@@ -34,10 +35,8 @@ use ftcolor_core::{
 };
 use ftcolor_model::Algorithm;
 use ftcolor_net::wire;
-use ftcolor_net::{Body, Codec, Frame, Init, WirePool};
+use ftcolor_net::{Body, Codec, Frame, Init, NodeCore, WirePool};
 use serde::{Deserialize, Serialize};
-
-use crate::core::NodeCore;
 
 /// Runs one node to completion: reads `init` from stdin, speaks the
 /// register protocol in `codec` until stdin closes.
@@ -123,7 +122,9 @@ where
     if !pace.is_zero() {
         thread::sleep(pace);
     }
-    emit(&core.start(), codec, &mut pool)?;
+    let mut out = Vec::new();
+    core.start(&mut out);
+    emit(&mut out, codec, &mut pool)?;
     let mut next_rto = Instant::now() + rto;
     loop {
         let timeout = next_rto.saturating_duration_since(Instant::now());
@@ -151,14 +152,15 @@ where
                     }
                 };
                 let before = core.round();
-                let out = core.on_frame(&frame);
+                core.on_frame(frame, &mut out);
                 if core.round() > before && !pace.is_zero() {
                     thread::sleep(pace); // pause between rounds
                 }
-                emit(&out, codec, &mut pool)?;
+                emit(&mut out, codec, &mut pool)?;
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                emit(&core.retransmits(), codec, &mut pool)?;
+                core.retransmits(&mut out);
+                emit(&mut out, codec, &mut pool)?;
                 next_rto = Instant::now() + rto;
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
@@ -168,14 +170,14 @@ where
 
 /// Writes a batch of frames to stdout — JSON lines or length-prefixed
 /// binary records — built in one pooled buffer and flushed with a
-/// single write. A broken pipe means the orchestrator is gone: exit
-/// quietly.
-fn emit(frames: &[Frame], codec: Codec, pool: &mut WirePool) -> Result<(), String> {
+/// single write, leaving `frames` empty for reuse. A broken pipe means
+/// the orchestrator is gone: exit quietly.
+fn emit(frames: &mut Vec<Frame>, codec: Codec, pool: &mut WirePool) -> Result<(), String> {
     if frames.is_empty() {
         return Ok(());
     }
     let mut buf = pool.acquire();
-    for f in frames {
+    for f in frames.iter() {
         match codec {
             Codec::Binary => wire::append_framed(f, &mut buf),
             _ => {
@@ -184,6 +186,7 @@ fn emit(frames: &[Frame], codec: Codec, pool: &mut WirePool) -> Result<(), Strin
             }
         }
     }
+    frames.clear();
     let mut out = io::stdout().lock();
     let ok = out.write_all(&buf).is_ok() && out.flush().is_ok();
     pool.release(buf);

@@ -22,7 +22,9 @@
 //!   survive crashes, so the router keeps a cache of each node's last
 //!   observed register write and answers `snapshot_req`s aimed at dead
 //!   nodes from it — substrate memory outliving the process, exactly
-//!   like the simulator's register servers.
+//!   like the simulator's register servers, and kept with the same
+//!   [`ftcolor_net::store`] rule and [`ftcolor_net::snapshot_resp`]
+//!   builder.
 //! * **Recorder.** Every routed frame, fate, and kill is journaled in
 //!   router order into a [`ClusterTrace`]; live runs race on wall
 //!   clocks and are *not* reproducible from the seed alone, so the
@@ -33,6 +35,7 @@
 //! whether the run completes, times out, or the orchestrator panics,
 //! every child is SIGKILLed and reaped — no zombies, no orphans.
 
+use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::io::{BufRead, BufReader, Write as _};
 use std::process::{Child, Command, Stdio};
@@ -43,14 +46,13 @@ use std::time::{Duration, Instant};
 use ftcolor_model::{Algorithm, ProcessId, SubstrateReport};
 use ftcolor_net::wire;
 use ftcolor_net::{
-    draw_fate, Body, Codec, Fate, FaultPlan, Frame, Init, SnapshotResp, WirePool, WireStats,
-    ORCHESTRATOR,
+    draw_fate, snapshot_resp, store, Body, Codec, Fate, FaultPlan, Frame, Init, Obs, WirePool,
+    WireStats, ORCHESTRATOR,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::core::{obs_stamp, Obs};
 use crate::trace::{ClusterEntry, ClusterTrace, SendFate, CLUSTER_TRACE_SCHEMA};
 
 /// Orchestrator knobs (everything except the fault plan).
@@ -466,10 +468,7 @@ where
                 // out — this cache is what keeps a SIGKILLed node's
                 // register readable (substrate memory survives).
                 if let Body::Write(w) = &frame.body {
-                    let stamp = w.round + 1;
-                    if stamp > obs_stamp(&cache[frame.src]) {
-                        cache[frame.src] = Some((w.value.clone(), stamp));
-                    }
+                    store(&mut cache[frame.src], w.round, Cow::Borrowed(&w.value));
                 }
                 stats.sent += 1;
                 let ticks = plan_start.map_or(0, |p| {
@@ -539,11 +538,7 @@ where
                 // memory: reads still complete, everything else dies
                 // with the process.
                 if let Body::SnapshotReq(r) = &frame.body {
-                    let (value, stamp) = match &cache[dest] {
-                        Some((v, s)) => (Some(v.clone()), *s),
-                        None => (None, 0),
-                    };
-                    let round = r.round;
+                    let body = snapshot_resp(&cache[dest], r.round);
                     stats.served_dead_reads += 1;
                     entries.push(ClusterEntry::Deliver {
                         seq: entries.len() as u64,
@@ -553,11 +548,7 @@ where
                     route!(Frame {
                         src: dest,
                         dest: frame.src,
-                        body: Body::SnapshotResp(SnapshotResp {
-                            round,
-                            value,
-                            stamp,
-                        }),
+                        body,
                     });
                 }
             } else if let Some(bytes) = write_frame(&mut stdins[dest], &frame, codec, &mut wpool) {

@@ -4,7 +4,8 @@
 //! from its seed — but its journal can be *re-verified*. The replayer
 //! walks the [`ClusterTrace`] journal in order, driving one in-process
 //! [`NodeCore`] replica per node (the same state machine the live node
-//! binary wraps):
+//! binary wraps, running the register protocol described in
+//! [`ftcolor_net::node`]):
 //!
 //! * every [`ClusterEntry::Deliver`] is fed to the destination
 //!   replica, and whatever the replica emits is queued in that node's
@@ -25,13 +26,13 @@
 //! The result implements [`SubstrateReport`], so a replayed fixture
 //! feeds the same conformance oracles as every other substrate.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use ftcolor_model::{Algorithm, ProcessId, SubstrateReport};
-use ftcolor_net::{Body, Frame};
+use ftcolor_net::{snapshot_resp, store, Body, Frame, NodeCore, Obs};
 use serde::{Deserialize, Serialize, Value};
 
-use crate::core::{obs_stamp, NodeCore, Obs};
 use crate::trace::{ClusterEntry, ClusterTrace, SendFate};
 
 /// The verdict of a successful replay.
@@ -97,6 +98,8 @@ where
     let mut killed = vec![false; n];
     let mut observed: Vec<Option<Value>> = vec![None; n];
     let mut observed_round = vec![0u64; n];
+    // The replicas' output buffer, reused across entries.
+    let mut out: Vec<Frame> = Vec::new();
 
     for (idx, entry) in trace.entries.iter().enumerate() {
         let seq = entry.seq();
@@ -133,7 +136,8 @@ where
                     }
                     let mut core =
                         NodeCore::new(alg, dest, init.neighbors.clone(), trace.ids[dest]);
-                    outbox[dest].extend(core.start());
+                    core.start(&mut out);
+                    outbox[dest].extend(out.drain(..));
                     replicas[dest] = Some(core);
                 } else if killed[dest] {
                     // Only reads reach a dead node — the orchestrator
@@ -145,22 +149,14 @@ where
                             frame.body.kind()
                         ));
                     };
-                    let (value, stamp) = match &cache[dest] {
-                        Some((v, s)) => (Some(v.clone()), *s),
-                        None => (None, 0),
-                    };
                     synth[dest].push_back(Frame {
                         src: dest,
                         dest: frame.src,
-                        body: Body::SnapshotResp(ftcolor_net::SnapshotResp {
-                            round: r.round,
-                            value,
-                            stamp,
-                        }),
+                        body: snapshot_resp(&cache[dest], r.round),
                     });
                 } else if let Some(core) = replicas[dest].as_mut() {
-                    let out = core.on_frame(frame);
-                    outbox[dest].extend(out);
+                    core.on_frame(frame.clone(), &mut out);
+                    outbox[dest].extend(out.drain(..));
                 }
                 // No replica and not dead: an uninitialized (wedged)
                 // node; the live process buffered the frame unread.
@@ -173,10 +169,7 @@ where
                 // Rebuild the router's register cache exactly as the
                 // live router did: from every surfaced write.
                 if let Body::Write(w) = &frame.body {
-                    let stamp = w.round + 1;
-                    if stamp > obs_stamp(&cache[src]) {
-                        cache[src] = Some((w.value.clone(), stamp));
-                    }
+                    store(&mut cache[src], w.round, Cow::Borrowed(&w.value));
                 }
                 // A cache-served read is journaled right after the
                 // delivery that caused it, so it is matched first: the
@@ -268,7 +261,6 @@ fn is_tolerated_retransmit<A>(frame: &Frame, replica: Option<&NodeCore<A>>) -> b
 where
     A: Algorithm,
     A::Reg: Serialize + Deserialize,
-    A::Output: Serialize,
 {
     let Body::SnapshotReq(r) = &frame.body else {
         return false;

@@ -32,8 +32,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::faults::FaultPlan;
 use crate::msg::{Body, Frame, Write};
-use crate::sim::{decide_fate, Mode, NetConfig, NetReport, NetStats};
-use crate::trace::{DeliveryTrace, Outcome, TraceEntry};
+use crate::sim::{NetConfig, NetReport, NetStats};
+use crate::trace::{DeliveryTrace, Mode, Outcome, TraceEntry};
 use crate::wire::{FrameCodec, Payload};
 
 /// Runs a DECOUPLED algorithm on the simulated network via input
@@ -56,7 +56,7 @@ where
     A: DecoupledAlgorithm,
     A::Input: Serialize + Deserialize + Clone,
 {
-    GossipSim::new(alg, topo, inputs, plan, cfg, Mode::Record).run()
+    GossipSim::new(alg, topo, inputs, plan, cfg, Mode::record(cfg.seed)).run()
 }
 
 /// Re-runs a recorded gossip trace bit-for-bit (see
@@ -116,7 +116,6 @@ struct GossipSim<'a, A: DecoupledAlgorithm> {
     slots: Vec<Ev>,
     now: u64,
     tick: u64,
-    net_rng: StdRng,
     timing_rng: StdRng,
     mode: Mode,
     trace: DeliveryTrace,
@@ -161,7 +160,6 @@ where
             slots: Vec::new(),
             now: 0,
             tick: 0,
-            net_rng: StdRng::seed_from_u64(cfg.seed),
             timing_rng: StdRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15),
             mode,
             trace: DeliveryTrace::default(),
@@ -363,16 +361,7 @@ where
             .expect("only register-protocol frames cross the simulated network");
         self.stats.sent += 1;
         let seq = self.trace.entries.len() as u64;
-        let (outcome, dup_at) = decide_fate(
-            self.plan,
-            &mut self.mode,
-            &mut self.net_rng,
-            self.now,
-            from,
-            to,
-            kind,
-            seq,
-        );
+        let (outcome, dup_at) = self.mode.decide(self.plan, self.now, from, to, kind, seq);
         match outcome {
             Outcome::Deliver { at } => {
                 self.stats.delivered += 1;

@@ -6,15 +6,22 @@
 //! snapshots. This crate provides the third substrate of the
 //! reproduction — after the abstract executor (`ftcolor-model`) and the
 //! OS-thread runtime (`ftcolor-runtime`) — where each process is a
-//! *node* exchanging serde-JSON-framed messages (`write`,
-//! `snapshot_req`, `snapshot_resp`) with its ring neighbors over a
-//! simulated network, so every registry algorithm runs unmodified on
-//! it via the ordinary [`ftcolor_model::Algorithm`] trait.
+//! *node* exchanging `write`, `snapshot_req` and `snapshot_resp` frames
+//! with its ring neighbors over a simulated network, so every registry
+//! algorithm runs unmodified on it via the ordinary
+//! [`ftcolor_model::Algorithm`] trait. Frames in flight are encoded in
+//! one of three codecs ([`Codec`]: JSON, compact binary, or typed
+//! without serialization); the choice never changes an outcome.
+//!
+//! The register protocol itself lives in one place, the sans-IO
+//! [`node`] module: [`NodeCore`] is the per-node state machine that
+//! both this crate's simulator and the real-process cluster substrate
+//! (`ftcolor-cluster`) drive, each with its own timing.
 //!
 //! What makes it a *network*: a seeded, fully deterministic fault plan
 //! ([`FaultPlan`]) with per-link drop/delay/duplicate/reorder
 //! probabilities, partition/heal windows, and node crashes, driven by
-//! a binary-heap event queue over a logical clock (no `Instant::now`
+//! a calendar event queue over a logical clock (no `Instant::now`
 //! anywhere in the simulation path). Every run records a
 //! [`DeliveryTrace`] — the complete transcript of the network's
 //! decisions — which [`replay_net`] re-runs bit-for-bit.
@@ -34,6 +41,7 @@ mod calendar;
 pub mod decoupled;
 pub mod faults;
 pub mod msg;
+pub mod node;
 pub mod shrink;
 pub mod sim;
 pub mod trace;
@@ -42,6 +50,7 @@ pub mod wire;
 pub use decoupled::{replay_decoupled_net, run_decoupled_net};
 pub use faults::{draw_fate, CrashAt, Fate, FaultPlan, LinkFault, LinkParams, Partition};
 pub use msg::{Body, Decide, Frame, Init, InitOk, SnapshotReq, SnapshotResp, Write, ORCHESTRATOR};
+pub use node::{snapshot_resp, store, NodeCore, Obs};
 pub use shrink::shrink_plan;
 pub use sim::{replay_net, run_net, NetConfig, NetReport, NetStats};
 pub use trace::{DeliveryTrace, FrameKind, Outcome, TraceEntry};

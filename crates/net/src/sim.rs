@@ -1,61 +1,43 @@
 //! The discrete-event network simulator.
 //!
-//! # Protocol
+//! Each node runs the register protocol of [`crate::node`] (its
+//! [`NodeCore`] state machine); this module is the driver that adds
+//! time and faults around it:
 //!
-//! Every node hosts two co-located roles:
-//!
-//! * a **process** running the algorithm's state machine (crashable), and
-//! * a **register server** holding the process's SWMR register
-//!   (substrate memory — it keeps answering [`crate::msg::SnapshotReq`]
-//!   even after its process crashes or returns, exactly as the paper's
-//!   shared registers survive process crashes).
-//!
-//! One asynchronous round of process `p` unfolds as messages:
-//!
-//! 1. `Activate(p)` fires: `p` encodes `publish(state)` and sends a
-//!    `write` frame to itself on the **loopback** link (reliable, one
-//!    tick — a process never loses access to its own register).
-//! 2. The loopback delivery applies the write (freshness-stamped with
-//!    `round + 1`), broadcasts `write` to all ring neighbors (mirror
-//!    warm-up — loss is harmless), then sends one `snapshot_req` per
-//!    neighbor and arms a retransmit timer for each.
-//! 3. Each neighbor's register server answers with `snapshot_resp`
-//!    carrying its current value and stamp; requests lost to drops or
-//!    partitions are retransmitted every `rto` ticks, and duplicates
-//!    are idempotent (a round's response slot fills at most once).
-//! 4. When all neighbors answered, the round **commits**: the view per
-//!    neighbor is the fresher of `snapshot_resp` and the mirror (the
-//!    merge observes a value the register held at or after the request
-//!    — equivalent to a later read, so still a regular-register read),
-//!    the algorithm's `step` runs, and either the next round's
-//!    `Activate` is scheduled or the process returns.
-//!
-//! Reads therefore always linearize after the process's own write, and
-//! final register values of returned processes are permanently
-//! readable — the two properties the paper's safety arguments need.
+//! * the own-register `write` travels over a **loopback** link —
+//!   reliable, one tick, never drawn against the fault plan, but still
+//!   encoded and decoded like any frame;
+//! * every other send crosses the fault-prone network: its fate (drop,
+//!   partition cut, delay, duplicate) is drawn or replayed per send;
+//! * each `snapshot_req` arms a retransmit timer for its
+//!   `(round, neighbor)` that resends every `rto` ticks until answered;
+//! * after a commit the next round's activation is jittered;
+//! * planned crashes stop the process, and reads its register server
+//!   answers afterwards are counted as `served_dead_reads`.
 //!
 //! # Determinism
 //!
 //! All network nondeterminism (drop/delay/duplicate/reorder draws) comes
 //! from one RNG seeded with `cfg.seed`, consumed in send order; all
 //! timing nondeterminism (activation jitter) from a second stream
-//! derived from the same seed. Events sit in a binary heap ordered by
-//! `(time, tick)` with a monotonic tie-break tick. There is no
+//! derived from the same seed. Events sit in a calendar queue ordered
+//! by `(time, tick)` with a monotonic tie-break tick. There is no
 //! `Instant::now` anywhere in the simulation path, so a `(seed, plan)`
 //! pair fully determines the run: byte-identical delivery trace,
 //! identical coloring. [`replay_net`] re-runs a recorded trace without
 //! touching the network RNG at all.
 
-use ftcolor_model::{Algorithm, Neighborhood, ProcessId, Step, Topology};
+use ftcolor_model::{Algorithm, ProcessId, Step, Topology};
 use ftcolor_runtime::{RtEvent, RtEventKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::calendar::EventQueue;
-use crate::faults::{Fate, FaultPlan};
-use crate::msg::{Body, Frame, SnapshotReq, SnapshotResp, Write};
-use crate::trace::{DeliveryTrace, FrameKind, Outcome, TraceEntry};
+use crate::faults::FaultPlan;
+use crate::msg::{Body, Frame, SnapshotReq};
+use crate::node::NodeCore;
+use crate::trace::{DeliveryTrace, Mode, Outcome, TraceEntry};
 use crate::wire::{Codec, FrameCodec, Payload, WireStats};
 
 /// Simulation parameters (everything except the fault plan).
@@ -225,7 +207,7 @@ where
     A: Algorithm,
     A::Reg: Serialize + Deserialize,
 {
-    Sim::new(alg, topo, inputs, plan, cfg, Mode::Record).run()
+    Sim::new(alg, topo, inputs, plan, cfg, Mode::record(cfg.seed)).run()
 }
 
 /// Re-runs a recorded [`DeliveryTrace`] bit-for-bit: the network RNG is
@@ -255,44 +237,6 @@ where
 
 // ------------------------------------------------------------ internals
 
-/// What happens to one process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Working,
-    Returned,
-    Crashed,
-}
-
-/// Where a working process is inside its current round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Between rounds (waiting for its next `Activate`).
-    Idle,
-    /// Sent the loopback `write`, waiting for it to land.
-    AwaitWrite,
-    /// Waiting for `snapshot_resp`s.
-    Snapshotting,
-}
-
-/// A register observation: `None` = never written, else the encoded
-/// value and its freshness stamp (writer round + 1).
-type Obs = Option<(Value, u64)>;
-
-struct Node<S> {
-    state: S,
-    status: Status,
-    round: u64,
-    phase: Phase,
-    /// The register server's storage (survives process crash/return).
-    reg: Obs,
-    /// Last `write` broadcast received per neighbor position.
-    mirror: Vec<Obs>,
-    /// Neighbor positions still owing a response this round.
-    pending: Vec<bool>,
-    /// Responses collected this round (outer `None` = not yet answered).
-    resp: Vec<Option<Obs>>,
-}
-
 enum Ev {
     /// A frame arrives at its destination (encoded in the run's codec,
     /// or carried typed when the codec skips byte serialization).
@@ -305,88 +249,25 @@ enum Ev {
     Crash { node: usize },
 }
 
-pub(crate) enum Mode {
-    /// Draw fault decisions from the network RNG, record them.
-    Record,
-    /// Take fault decisions from a recorded trace, verbatim.
-    Replay {
-        entries: Vec<TraceEntry>,
-        pos: usize,
-    },
-}
-
-impl Mode {
-    pub(crate) fn replay(trace: &DeliveryTrace) -> Self {
-        Mode::Replay {
-            entries: trace.entries.clone(),
-            pos: 0,
-        }
-    }
-}
-
-/// Decides the fate of one send — drawn from the RNG in [`Mode::Record`],
-/// read back verbatim in [`Mode::Replay`]. Shared by the register
-/// protocol and the decoupled gossip runner so both replay identically.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn decide_fate(
-    plan: &FaultPlan,
-    mode: &mut Mode,
-    rng: &mut StdRng,
-    now: u64,
-    from: usize,
-    to: usize,
-    kind: FrameKind,
-    seq: u64,
-) -> (Outcome, Option<u64>) {
-    match mode {
-        Mode::Record => match crate::faults::draw_fate(plan, rng, now, from, to) {
-            Fate::PartitionDrop => (Outcome::PartitionDrop, None),
-            Fate::Drop => (Outcome::Drop, None),
-            Fate::Deliver { delay, dup_extra } => {
-                let at = now + delay;
-                (Outcome::Deliver { at }, dup_extra.map(|d| at + d))
-            }
-        },
-        Mode::Replay { entries, pos } => {
-            let e = entries.get(*pos).unwrap_or_else(|| {
-                panic!("replay trace exhausted at send #{seq} ({kind} {from}->{to})")
-            });
-            assert!(
-                e.from == from && e.to == to && e.kind == kind,
-                "replay trace diverged at send #{seq}: \
-                 trace has {} {}->{}, run sent {kind} {from}->{to}",
-                e.kind,
-                e.from,
-                e.to,
-            );
-            *pos += 1;
-            (e.outcome, e.dup_at)
-        }
-    }
-}
-
 struct Sim<'a, A: Algorithm> {
-    alg: &'a A,
-    topo: &'a Topology,
     plan: &'a FaultPlan,
     cfg: &'a NetConfig,
-    nodes: Vec<Node<A::State>>,
+    cores: Vec<NodeCore<'a, A>>,
     outputs: Vec<Option<A::Output>>,
-    rounds: Vec<u64>,
     queue: EventQueue<Ev>,
     now: u64,
-    net_rng: StdRng,
     timing_rng: StdRng,
     mode: Mode,
     trace: DeliveryTrace,
     stats: NetStats,
     codec: FrameCodec,
     events: Vec<RtEvent>,
-    seq: u64,
-    /// Count of nodes still `Working` — maintained at the two status
+    /// Count of processes still working — maintained at the two status
     /// transitions so the event loop's stop check is O(1), not an O(n)
     /// scan per event.
     working: usize,
+    /// The cores' output buffer, reused across calls.
+    out: Vec<Frame>,
 }
 
 impl<'a, A> Sim<'a, A>
@@ -404,34 +285,21 @@ where
     ) -> Self {
         let n = topo.len();
         assert_eq!(inputs.len(), n, "one input per node");
-        let nodes = inputs
+        let cores = inputs
             .into_iter()
             .enumerate()
             .map(|(i, input)| {
-                let deg = topo.neighbors(ProcessId(i)).len();
-                Node {
-                    state: alg.init(ProcessId(i), input),
-                    status: Status::Working,
-                    round: 0,
-                    phase: Phase::Idle,
-                    reg: None,
-                    mirror: vec![None; deg],
-                    pending: vec![false; deg],
-                    resp: vec![None; deg],
-                }
+                let neighbors = topo.neighbors(ProcessId(i)).iter().map(|q| q.index());
+                NodeCore::new(alg, i, neighbors.collect(), input)
             })
             .collect();
         let mut sim = Sim {
-            alg,
-            topo,
             plan,
             cfg,
-            nodes,
+            cores,
             outputs: (0..n).map(|_| None).collect(),
-            rounds: vec![0; n],
             queue: EventQueue::new(),
             now: 0,
-            net_rng: StdRng::seed_from_u64(cfg.seed),
             // A disjoint stream for timing: jitter draws must not
             // perturb fault draws (or replay would change timing).
             timing_rng: StdRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15),
@@ -440,16 +308,16 @@ where
             stats: NetStats::default(),
             codec: FrameCodec::new(cfg.codec),
             events: Vec::new(),
-            seq: 0,
             working: n,
+            out: Vec::new(),
         };
         for node in 0..n {
             let jitter = sim.jitter();
-            sim.schedule(1 + jitter, Ev::Activate { node });
+            sim.queue.push(1 + jitter, Ev::Activate { node });
         }
         for c in &plan.crashes {
             if c.node < n {
-                sim.schedule(c.at.max(1), Ev::Crash { node: c.node });
+                sim.queue.push(c.at.max(1), Ev::Crash { node: c.node });
             }
         }
         sim
@@ -461,10 +329,6 @@ where
         } else {
             self.timing_rng.gen_range(0..=self.cfg.act_jitter)
         }
-    }
-
-    fn schedule(&mut self, at: u64, ev: Ev) {
-        self.queue.push(at, ev);
     }
 
     fn run(mut self) -> NetReport<A::Output> {
@@ -480,8 +344,7 @@ where
             self.stats.events_processed += 1;
             match ev {
                 Ev::Crash { node } => {
-                    if self.nodes[node].status == Status::Working {
-                        self.nodes[node].status = Status::Crashed;
+                    if self.cores[node].crash() {
                         self.working -= 1;
                     }
                 }
@@ -490,11 +353,17 @@ where
                 Ev::Retransmit { node, round, nbr } => self.on_retransmit(node, round, nbr),
             }
         }
-        let crashed = self.ids_with(Status::Crashed);
-        let stalled = self.ids_with(Status::Working);
+        let ids = |keep: fn(&NodeCore<'a, A>) -> bool| -> Vec<ProcessId> {
+            (0..self.cores.len())
+                .filter(|&i| keep(&self.cores[i]))
+                .map(ProcessId)
+                .collect()
+        };
+        let crashed = ids(NodeCore::is_crashed);
+        let stalled = ids(NodeCore::is_working);
         NetReport {
             outputs: self.outputs,
-            rounds: self.rounds,
+            rounds: self.cores.iter().map(NodeCore::rounds_committed).collect(),
             crashed,
             stalled,
             time: self.now,
@@ -506,269 +375,96 @@ where
         }
     }
 
-    fn ids_with(&self, status: Status) -> Vec<ProcessId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, nd)| nd.status == status)
-            .map(|(i, _)| ProcessId(i))
-            .collect()
-    }
-
-    /// Operation 1 of the round: publish over loopback.
+    /// Round operation 1: publish over loopback. Loopback is the
+    /// process's access to its own register: reliable, one tick, never
+    /// drawn against the fault plan. It still goes through the codec: a
+    /// real co-located register server would parse the frame too, so
+    /// the loopback leg is honest hot-path work.
     fn on_activate(&mut self, node: usize) {
-        if self.nodes[node].status != Status::Working {
+        let Some(w) = self.cores[node].publish() else {
             return;
-        }
-        let value = self.alg.publish(&self.nodes[node].state).to_value();
-        let round = self.nodes[node].round;
-        self.nodes[node].phase = Phase::AwaitWrite;
-        self.send_loopback(node, Body::Write(Write { round, value }));
-    }
-
-    /// Loopback is the process's access to its own register: reliable,
-    /// one tick, never drawn against the fault plan. It still goes
-    /// through the codec: a real co-located register server would parse
-    /// the frame too, so the loopback leg is honest hot-path work.
-    fn send_loopback(&mut self, node: usize, body: Body) {
+        };
         let payload = self.codec.encode(Frame {
             src: node,
             dest: node,
-            body,
+            body: Body::Write(w),
         });
         self.stats.loopback_writes += 1;
-        self.schedule(self.now + 1, Ev::Deliver { payload });
+        self.queue.push(self.now + 1, Ev::Deliver { payload });
     }
 
     fn on_deliver(&mut self, payload: Payload) {
         let frame = self.codec.decode(payload);
-        match frame.body {
-            Body::Write(w) => {
-                if frame.src == frame.dest {
-                    self.on_own_write(frame.dest, w);
-                } else {
-                    self.on_mirror_write(frame.src, frame.dest, w);
-                }
-            }
-            Body::SnapshotReq(r) => {
+        let node = frame.dest;
+        let mut out = std::mem::take(&mut self.out);
+        let core = &mut self.cores[node];
+        let step = match frame.body {
+            Body::Write(w) if frame.src == node => core.apply_own_write(w, &mut out),
+            _ => {
                 // Register servers are substrate memory: they answer
                 // even when their process crashed or returned.
-                if self.nodes[frame.dest].status == Status::Crashed {
+                if matches!(frame.body, Body::SnapshotReq(_)) && core.is_crashed() {
                     self.stats.served_dead_reads += 1;
                 }
-                let (value, stamp) = match &self.nodes[frame.dest].reg {
-                    Some((v, s)) => (Some(v.clone()), *s),
-                    None => (None, 0),
-                };
-                let resp = Body::SnapshotResp(SnapshotResp {
-                    round: r.round,
-                    value,
-                    stamp,
-                });
-                self.send(frame.dest, frame.src, &resp);
+                core.deliver(frame, &mut out)
             }
-            Body::SnapshotResp(r) => self.on_resp(frame.src, frame.dest, r),
-            // The discrete-event simulator's wire carries only the
-            // register subset of the shared vocabulary; control frames
-            // belong to the real-process cluster substrate.
-            other => unreachable!("control frame `{}` on the simulator wire", other.kind()),
-        }
-    }
-
-    /// The loopback write lands: apply it, then start the snapshot.
-    fn on_own_write(&mut self, node: usize, w: Write) {
-        let round = w.round;
-        let stamp = round + 1;
-        let fresh = stamp > obs_stamp(&self.nodes[node].reg);
-        // The rest of the round is process behavior: skip it if the
-        // process crashed while the write was in flight (a legal §2
-        // crash point — the write itself still happened).
-        if self.nodes[node].status != Status::Working
-            || self.nodes[node].phase != Phase::AwaitWrite
-            || self.nodes[node].round != round
-        {
-            if fresh {
-                self.nodes[node].reg = Some((w.value, stamp));
+        };
+        // Sends leave in the core's order; each `snapshot_req` (one per
+        // neighbor, in neighbor order) arms its retransmit timer right
+        // after it is sent.
+        let mut nbr = 0;
+        for f in out.drain(..) {
+            let req = match f.body {
+                Body::SnapshotReq(SnapshotReq { round }) => Some(round),
+                _ => None,
+            };
+            self.send(f);
+            if let Some(round) = req {
+                self.queue
+                    .push(self.now + self.cfg.rto, Ev::Retransmit { node, round, nbr });
+                nbr += 1;
             }
-            return;
         }
-        // `topo` is a shared borrow living as long as the sim, so the
-        // neighbor slice needs no per-round collection.
-        let neighbors: &[ProcessId] = self.topo.neighbors(ProcessId(node));
-        if neighbors.is_empty() {
-            if fresh {
-                self.nodes[node].reg = Some((w.value, stamp));
-            }
-            self.commit_round(node);
-            return;
-        }
-        // The register store and the broadcast body share the value:
-        // one clone per round, regardless of degree — the byte codecs
-        // serialize the broadcast straight from the borrowed body.
-        if fresh {
-            self.nodes[node].reg = Some((w.value.clone(), stamp));
-        }
-        let wbody = Body::Write(Write {
-            round,
-            value: w.value,
-        });
-        let req = Body::SnapshotReq(SnapshotReq { round });
-        self.nodes[node].phase = Phase::Snapshotting;
-        for (pos, &q) in neighbors.iter().enumerate() {
-            self.send(node, q.index(), &wbody);
-            self.nodes[node].pending[pos] = true;
-            self.nodes[node].resp[pos] = None;
-            self.send(node, q.index(), &req);
-            self.schedule(
-                self.now + self.cfg.rto,
-                Ev::Retransmit {
-                    node,
-                    round,
-                    nbr: pos,
-                },
-            );
-        }
-    }
-
-    /// A neighbor's `write` broadcast: warm the mirror (monotone in the
-    /// freshness stamp, so reordered broadcasts can't roll it back).
-    fn on_mirror_write(&mut self, src: usize, dest: usize, w: Write) {
-        let Some(pos) = self.neighbor_pos(dest, src) else {
-            return;
-        };
-        let stamp = w.round + 1;
-        if stamp > obs_stamp(&self.nodes[dest].mirror[pos]) {
-            self.nodes[dest].mirror[pos] = Some((w.value, stamp));
-        }
-    }
-
-    fn on_resp(&mut self, src: usize, dest: usize, r: SnapshotResp) {
-        let nd = &self.nodes[dest];
-        if nd.status != Status::Working || nd.phase != Phase::Snapshotting || nd.round != r.round {
-            return; // stale round or duplicate after commit
-        }
-        let Some(pos) = self.neighbor_pos(dest, src) else {
-            return;
-        };
-        if !self.nodes[dest].pending[pos] {
-            return; // duplicate response: idempotent
-        }
-        let obs = match r.value {
-            Some(v) => Some((v, r.stamp)),
-            None => None,
-        };
-        self.nodes[dest].resp[pos] = Some(obs);
-        self.nodes[dest].pending[pos] = false;
-        if self.nodes[dest].pending.iter().all(|p| !p) {
-            self.commit_round(dest);
+        self.out = out;
+        if let Some(step) = step {
+            self.on_commit(node, step);
         }
     }
 
     fn on_retransmit(&mut self, node: usize, round: u64, nbr: usize) {
-        let nd = &self.nodes[node];
-        if nd.status != Status::Working
-            || nd.phase != Phase::Snapshotting
-            || nd.round != round
-            || !nd.pending[nbr]
-        {
+        if !self.cores[node].owes(round, nbr) {
             return; // answered (or round moved on): timer dies
         }
         self.stats.retransmits += 1;
-        let q = self.topo.neighbors(ProcessId(node))[nbr].index();
-        self.send(node, q, &Body::SnapshotReq(SnapshotReq { round }));
-        self.schedule(self.now + self.cfg.rto, Ev::Retransmit { node, round, nbr });
+        self.send(Frame {
+            src: node,
+            dest: self.cores[node].neighbors()[nbr],
+            body: Body::SnapshotReq(SnapshotReq { round }),
+        });
+        self.queue
+            .push(self.now + self.cfg.rto, Ev::Retransmit { node, round, nbr });
     }
 
-    /// All responses in: merge views, run the algorithm step.
-    fn commit_round(&mut self, node: usize) {
-        let round = self.nodes[node].round;
-        let degree = self.topo.neighbors(ProcessId(node)).len();
-        let view: Vec<Option<A::Reg>> = (0..degree)
-            .map(|pos| {
-                // The response is consumed (it is reset at the next
-                // round's write anyway); the mirror persists, so it is
-                // cloned — but only when it actually wins, which on a
-                // healthy link it never does (a response ties-or-beats
-                // a mirror of the same stamp).
-                let resp = self.nodes[node].resp[pos]
-                    .take()
-                    .expect("commit only fires once every neighbor answered");
-                let merged = if obs_stamp(&self.nodes[node].mirror[pos]) > obs_stamp(&resp) {
-                    self.nodes[node].mirror[pos].clone()
-                } else {
-                    resp
-                };
-                merged.map(|(v, _)| {
-                    serde_json::from_value::<A::Reg>(v).expect("register payloads decode")
-                })
-            })
-            .collect();
+    /// A round committed: log it, then schedule the next activation or
+    /// collect the output.
+    fn on_commit(&mut self, node: usize, step: Step<A::Output>) {
         if self.cfg.record_events {
-            let neighbor_ids: Vec<usize> = self
-                .topo
-                .neighbors(ProcessId(node))
-                .iter()
-                .map(|q| q.index())
-                .collect();
-            self.emit_round_block(node, round, &neighbor_ids);
+            let core = &self.cores[node];
+            let round = core.rounds_committed() - 1;
+            emit_round_block(&mut self.events, node, round, core.neighbors());
         }
-        let step = {
-            let nd = &mut self.nodes[node];
-            self.alg.step(&mut nd.state, &Neighborhood::new(&view))
-        };
-        self.rounds[node] += 1;
         match step {
             Step::Continue => {
-                self.nodes[node].round += 1;
-                self.nodes[node].phase = Phase::Idle;
                 let jitter = self.jitter();
-                self.schedule(self.now + 1 + jitter, Ev::Activate { node });
+                self.queue
+                    .push(self.now + 1 + jitter, Ev::Activate { node });
             }
             Step::Return(o) => {
                 self.outputs[node] = Some(o);
-                self.nodes[node].status = Status::Returned;
-                self.nodes[node].phase = Phase::Idle;
                 self.working -= 1;
                 // The register server keeps serving the final value.
             }
         }
-    }
-
-    /// One contiguous Lock*/Write/Read*/Unlock* block recording this
-    /// round's commit-time serialization (same shape the OS-thread
-    /// runtime emits, so the `ftcolor-analyze` race rules apply).
-    fn emit_round_block(&mut self, node: usize, round: u64, neighbor_ids: &[usize]) {
-        let mut closed: Vec<usize> = neighbor_ids.to_vec();
-        closed.push(node);
-        closed.sort_unstable();
-        closed.dedup();
-        let log = |events: &mut Vec<RtEvent>, seq: &mut u64, register, kind| {
-            events.push(RtEvent {
-                seq: *seq,
-                process: node,
-                round,
-                register,
-                kind,
-            });
-            *seq += 1;
-        };
-        for &r in &closed {
-            log(&mut self.events, &mut self.seq, r, RtEventKind::Lock);
-        }
-        log(&mut self.events, &mut self.seq, node, RtEventKind::Write);
-        for &r in neighbor_ids {
-            log(&mut self.events, &mut self.seq, r, RtEventKind::Read);
-        }
-        for &r in &closed {
-            log(&mut self.events, &mut self.seq, r, RtEventKind::Unlock);
-        }
-    }
-
-    fn neighbor_pos(&self, of: usize, who: usize) -> Option<usize> {
-        self.topo
-            .neighbors(ProcessId(of))
-            .iter()
-            .position(|q| q.index() == who)
     }
 
     /// The fault-prone network path. Draws (or replays) this send's
@@ -776,34 +472,27 @@ where
     /// drawn *before* any encoding — fates depend only on (plan, rng,
     /// time, link), so codec choice cannot perturb the trace, and
     /// dropped sends are never serialized at all.
-    fn send(&mut self, from: usize, to: usize, body: &Body) {
-        let kind = body
+    fn send(&mut self, frame: Frame) {
+        let kind = frame
+            .body
             .trace_kind()
             .expect("only register-protocol frames cross the simulated network");
+        let (from, to) = (frame.src, frame.dest);
         self.stats.sent += 1;
         let seq = self.trace.entries.len() as u64;
-        let (outcome, dup_at) = decide_fate(
-            self.plan,
-            &mut self.mode,
-            &mut self.net_rng,
-            self.now,
-            from,
-            to,
-            kind,
-            seq,
-        );
+        let (outcome, dup_at) = self.mode.decide(self.plan, self.now, from, to, kind, seq);
         match outcome {
             Outcome::Deliver { at } => {
                 self.stats.delivered += 1;
-                let payload = self.codec.encode_body(from, to, body);
+                let payload = self.codec.encode(frame);
                 // Copy for the duplicate first, but schedule the primary
                 // first: tick order (the tie-break) must match the
                 // original primary-then-duplicate schedule.
                 let dup = dup_at.map(|_| self.codec.copy(&payload));
-                self.schedule(at, Ev::Deliver { payload });
+                self.queue.push(at, Ev::Deliver { payload });
                 if let (Some(d), Some(dup)) = (dup_at, dup) {
                     self.stats.duplicated += 1;
-                    self.schedule(d, Ev::Deliver { payload: dup });
+                    self.queue.push(d, Ev::Deliver { payload: dup });
                 }
             }
             Outcome::Drop => self.stats.dropped += 1,
@@ -821,8 +510,30 @@ where
     }
 }
 
-fn obs_stamp(o: &Obs) -> u64 {
-    o.as_ref().map_or(0, |(_, s)| *s)
+/// One contiguous Lock*/Write/Read*/Unlock* block recording a round's
+/// commit-time serialization (same shape the OS-thread runtime emits,
+/// so the `ftcolor-analyze` race rules apply). `seq` is the event's
+/// position in the whole log.
+fn emit_round_block(events: &mut Vec<RtEvent>, node: usize, round: u64, neighbors: &[usize]) {
+    let mut closed: Vec<usize> = neighbors.to_vec();
+    closed.push(node);
+    closed.sort_unstable();
+    closed.dedup();
+    let block = closed
+        .iter()
+        .map(|&r| (r, RtEventKind::Lock))
+        .chain([(node, RtEventKind::Write)])
+        .chain(neighbors.iter().map(|&r| (r, RtEventKind::Read)))
+        .chain(closed.iter().map(|&r| (r, RtEventKind::Unlock)));
+    for (register, kind) in block {
+        events.push(RtEvent {
+            seq: events.len() as u64,
+            process: node,
+            round,
+            register,
+            kind,
+        });
+    }
 }
 
 #[cfg(test)]

@@ -11,8 +11,12 @@
 //! carry a cheap FNV-1a digest so tests can assert byte-identity
 //! without diffing megabytes.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt;
+
+use crate::faults::{draw_fate, Fate, FaultPlan};
 
 /// Kind tag of one traced send — the register-protocol subset of the
 /// wire vocabulary (control frames never cross the fault-injected
@@ -143,6 +147,75 @@ impl DeliveryTrace {
     /// for byte-identity assertions.
     pub fn digest(&self) -> u64 {
         fnv1a(self.to_json().as_bytes())
+    }
+}
+
+/// Where a run's send fates come from: drawn from the seeded network
+/// RNG (and recorded by the caller), or read back verbatim from a
+/// recorded trace. Shared by the register-protocol simulator and the
+/// decoupled gossip runner so both replay identically.
+pub(crate) enum Mode {
+    /// Draw fault decisions from the network RNG.
+    Record(StdRng),
+    /// Take fault decisions from a recorded trace, verbatim.
+    Replay {
+        entries: Vec<TraceEntry>,
+        pos: usize,
+    },
+}
+
+impl Mode {
+    pub(crate) fn record(seed: u64) -> Self {
+        Mode::Record(StdRng::seed_from_u64(seed))
+    }
+
+    pub(crate) fn replay(trace: &DeliveryTrace) -> Self {
+        Mode::Replay {
+            entries: trace.entries.clone(),
+            pos: 0,
+        }
+    }
+
+    /// Decides the fate of send number `seq`: its outcome and the
+    /// arrival time of a duplicate copy, if any.
+    ///
+    /// # Panics
+    ///
+    /// In replay, panics when the run's send sequence leaves the trace.
+    pub(crate) fn decide(
+        &mut self,
+        plan: &FaultPlan,
+        now: u64,
+        from: usize,
+        to: usize,
+        kind: FrameKind,
+        seq: u64,
+    ) -> (Outcome, Option<u64>) {
+        match self {
+            Mode::Record(rng) => match draw_fate(plan, rng, now, from, to) {
+                Fate::PartitionDrop => (Outcome::PartitionDrop, None),
+                Fate::Drop => (Outcome::Drop, None),
+                Fate::Deliver { delay, dup_extra } => {
+                    let at = now + delay;
+                    (Outcome::Deliver { at }, dup_extra.map(|d| at + d))
+                }
+            },
+            Mode::Replay { entries, pos } => {
+                let e = entries.get(*pos).unwrap_or_else(|| {
+                    panic!("replay trace exhausted at send #{seq} ({kind} {from}->{to})")
+                });
+                assert!(
+                    e.from == from && e.to == to && e.kind == kind,
+                    "replay trace diverged at send #{seq}: \
+                     trace has {} {}->{}, run sent {kind} {from}->{to}",
+                    e.kind,
+                    e.from,
+                    e.to,
+                );
+                *pos += 1;
+                (e.outcome, e.dup_at)
+            }
+        }
     }
 }
 

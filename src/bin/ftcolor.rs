@@ -932,6 +932,9 @@ fn cmd_netsim(opts: &HashMap<String, String>) -> Result<(), String> {
     let n: usize = get(opts, "n", "8")
         .parse()
         .map_err(|e| format!("bad --n: {e}"))?;
+    // `analyze::net_run` answers `None` for a ring it cannot build as
+    // well as for an unknown algorithm, so check the ring here first.
+    Topology::cycle(n).map_err(|e| format!("bad --n: {e}"))?;
     let seed: u64 = get(opts, "seed", "0")
         .parse()
         .map_err(|e| format!("bad --seed: {e}"))?;

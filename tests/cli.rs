@@ -189,6 +189,13 @@ fn bad_flags_fail_gracefully() {
     let (_, stderr, ok) = run(&["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown subcommand"), "{stderr}");
+    let out = Command::new(env!("CARGO_BIN_EXE_ftcolor"))
+        .args(["netsim", "--alg", "alg1", "--n", "2"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("bad --n"), "{stderr}");
     let dir = std::env::temp_dir().join(format!("ftcolor-cli-conflict-{}", std::process::id()));
     let (_, stderr, ok) = run(&[
         "modelcheck",
