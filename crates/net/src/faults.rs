@@ -211,6 +211,44 @@ impl FaultPlan {
     pub fn partitioned(&self, now: u64, from: usize, to: usize) -> bool {
         self.partitions.iter().any(|p| p.cuts(now, from, to))
     }
+
+    /// Checks the plan against an `n`-node ring: every node index it
+    /// names (crashes, partition sides, link ends) is below `n`, and
+    /// every probability, global or per link, is finite and in `[0, 1]`.
+    /// A plan that fails would silently never fire the fault it names.
+    pub fn check(&self, n: usize) -> Result<(), String> {
+        let sides = self.partitions.iter().flat_map(|p| &p.side);
+        let nodes = self
+            .crashes
+            .iter()
+            .map(|c| ("crash node", c.node))
+            .chain(sides.map(|&s| ("partition side node", s)))
+            .chain(self.links.iter().map(|l| ("link from", l.from)))
+            .chain(self.links.iter().map(|l| ("link to", l.to)));
+        for (what, node) in nodes {
+            if node >= n {
+                return Err(format!("{what} {node} is not a node of a {n}-node ring"));
+            }
+        }
+        let link_probs = self.links.iter().flat_map(|l| {
+            [
+                ("link drop", l.drop),
+                ("link duplicate", l.duplicate),
+                ("link reorder", l.reorder),
+            ]
+        });
+        let probs = [
+            ("drop", self.drop),
+            ("duplicate", self.duplicate),
+            ("reorder", self.reorder),
+        ];
+        for (what, p) in probs.into_iter().chain(link_probs) {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{what} {p} is not a probability in [0, 1]"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The fate of one send, relative to its send time: the shared
@@ -347,5 +385,37 @@ mod tests {
         assert!((plan.link(0, 1).drop - 0.9).abs() < 1e-12);
         assert!((plan.link(1, 0).drop).abs() < 1e-12, "directed override");
         assert_eq!(plan.link(0, 1).delay_min, 5);
+    }
+
+    #[test]
+    fn check_refuses_foreign_nodes_and_bad_probabilities() {
+        let plan = FaultPlan::lossy(0.1)
+            .with_crash(4, 7)
+            .with_partition(Partition::forever(4, vec![1, 2]));
+        assert_eq!(plan.check(5), Ok(()));
+        assert!(plan.check(4).unwrap_err().contains("crash node 4"));
+        let sided = FaultPlan::clean().with_partition(Partition::forever(0, vec![9]));
+        assert!(sided
+            .check(5)
+            .unwrap_err()
+            .contains("partition side node 9"));
+        let mut linked = FaultPlan::clean();
+        linked.links.push(LinkFault {
+            from: 0,
+            to: 7,
+            drop: 0.0,
+            delay_min: 1,
+            delay_max: 1,
+            duplicate: 0.0,
+            reorder: 0.0,
+        });
+        assert!(linked.check(5).unwrap_err().contains("link to 7"));
+        linked.links[0].to = 1;
+        linked.links[0].reorder = f64::NAN;
+        assert!(linked.check(5).unwrap_err().contains("link reorder"));
+        for drop in [-1.0, 1.5, f64::INFINITY] {
+            assert!(FaultPlan::lossy(drop).check(5).is_err(), "drop {drop}");
+        }
+        assert_eq!(FaultPlan::lossy(1.0).check(3), Ok(()));
     }
 }

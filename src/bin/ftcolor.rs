@@ -6,81 +6,67 @@
 //! ftcolor fuzz       --alg alg2 --ids 0,1,2 --generations 200 --jobs 4
 //! ```
 //!
-//! Subcommands:
-//!
-//! * `color` — run a coloring algorithm on a ring and print the result
-//!   (optionally as a step-by-step timeline);
-//! * `modelcheck` — exhaustively explore every schedule on a small ring
-//!   and report safety/livelock (witnesses are delta-debugged before
-//!   being surfaced);
-//! * `fuzz` — evolutionary adversarial schedule search (violating
-//!   genomes are likewise shrunk);
-//! * `shrink` — delta-debug a witness file to locally minimal form;
-//! * `analyze` — lint shipped algorithms against the §2 model contract
-//!   and race-check the threaded runtime's event logs;
-//! * `netsim` — run registry algorithms on the message-passing network
-//!   substrate under a seeded fault plan (drop/delay/duplicate/reorder,
-//!   partitions, crashes) with a replayable delivery trace;
-//! * `serve` — drive a seeded open-loop fleet of ring instances through
-//!   the struct-of-arrays batch engine (`ftcolor-batch`) and print a
-//!   deterministic summary (identical at every `--jobs` value); timing
-//!   numbers go to stderr;
-//! * `cluster` — run a ring of *real OS processes* (one `ftcolor node`
-//!   each) under the same fault-plan vocabulary, with plan crashes
-//!   executed as SIGKILL and a recorded routed-frame trace that
-//!   `--replay` re-verifies offline;
-//! * `node` — one cluster node (spawned by the orchestrator; speaks
-//!   line-delimited JSON frames on stdin/stdout).
+//! Every subcommand is one entry of [`CMDS`]: its name, what it does,
+//! its flag table and the function that runs it. The usage text, the
+//! check that each flag belongs to the subcommand, the defaults and
+//! every `bad --X` error all come from those tables; `ftcolor help`
+//! prints them.
 
 use ftcolor::analyze::{self, render_json, Diagnostic, RuleId};
-use ftcolor::checker::shrink::WITNESS_SCHEMA;
+use ftcolor::batch::ServiceConfig;
+use ftcolor::checker::shrink::{ShrinkStats, WITNESS_SCHEMA};
 use ftcolor::checker::{
-    ExploreStats, ExtmemConfig, FuzzConfig, LivelockWitness, ModelChecker, SafetyViolation,
-    ScheduleFuzzer, Shrinker, Witness, WitnessFixture,
+    ExtmemConfig, FuzzConfig, LivelockWitness, ModelChecker, SafetyViolation, ScheduleFuzzer,
+    Shrinker, Witness, WitnessFixture,
 };
-use ftcolor::cluster::{self, ClusterOptions, ClusterTrace};
-use ftcolor::core::mis::{mis_violation, EagerMis};
+use ftcolor::cluster::{self, ClusterOptions, ClusterSummary, ClusterTrace};
+use ftcolor::core::mis::{mis_violation, EagerMis, MisOutput};
 use ftcolor::model::render::{render_ring_coloring, render_schedule, render_timeline};
 use ftcolor::model::{inputs, Topology};
 use ftcolor::net::{Codec, FaultPlan, NetConfig};
 use ftcolor::prelude::*;
+use serde::Serialize;
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::hash::Hash;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn main() -> ExitCode {
+    // A reader that closes stdout early (`ftcolor … | head`) ends the
+    // run quietly, as a filter killed by SIGPIPE would. Restoring the
+    // SIGPIPE default instead would also kill `ftcolor cluster` when it
+    // writes to a node that a fault plan has just SIGKILLed.
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload_as_str().unwrap_or_default();
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        default_hook(info);
+    }));
+
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
+    let Some((name, rest)) = args.split_first() else {
+        eprintln!("{}", usage(CMDS));
         return ExitCode::FAILURE;
     };
-    let opts = match parse_flags(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.contains_key("help") {
-        println!("{USAGE}");
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage(CMDS));
         return ExitCode::SUCCESS;
     }
-    let result = match cmd.as_str() {
-        "color" => cmd_color(&opts),
-        "modelcheck" => cmd_modelcheck(&opts),
-        "fuzz" => cmd_fuzz(&opts),
-        "shrink" => cmd_shrink(&opts),
-        "analyze" => cmd_analyze(&opts),
-        "certify" => cmd_certify(&opts),
-        "netsim" => cmd_netsim(&opts),
-        "serve" => cmd_serve(&opts),
-        "cluster" => cmd_cluster(&opts),
-        "node" => parse_codec(&opts, &[Codec::Json, Codec::Binary]).and_then(cluster::node_main),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand `{other}`")),
+    let Some(cmd) = CMDS.iter().find(|c| c.name == name) else {
+        eprintln!("error: unknown subcommand `{name}`");
+        return ExitCode::FAILURE;
     };
+    let cmd_usage = usage(std::slice::from_ref(cmd));
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{cmd_usage}");
+        return ExitCode::SUCCESS;
+    }
+    let result = Opts::parse(cmd, rest)
+        .map_err(|e| format!("{e}\n\n{cmd_usage}"))
+        .and_then(|opts| (cmd.run)(&opts));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -90,473 +76,608 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-ftcolor — wait-free coloring of the asynchronous cycle (PODC 2022 reproduction)
-
-USAGE:
-  ftcolor color      [--alg A] [--n N | --ids LIST] [--input KIND] [--sched S] [--seed K] [--timeline]
-  ftcolor modelcheck [--alg A] [--ids LIST] [--max-configs M] [--jobs J] [--symmetry]
-                     [--por] [--extmem DIR [--extmem-budget BYTES] | --bloom BITS]
-                     [--format text|json]
-  ftcolor fuzz       [--alg A] [--n N | --ids LIST] [--generations G] [--seed K] [--jobs J]
-  ftcolor shrink     --in FILE [--out FILE] [--alg A] [--ids LIST] [--bound B] [--jobs J]
-  ftcolor analyze    [--alg NAME|all] [--sizes LIST] [--rules CODES] [--format text|json]
-  ftcolor certify    [--alg NAME|all] [--domain-colors C] [--rules CODES]
-                     [--format text|json]
-  ftcolor netsim     [--alg NAME|all] [--n N] [--seed K] [--faults JSON] [--max-time T]
-                     [--codec json|binary|typed] [--format text|json] [--emit-trace]
-  ftcolor serve      [--alg A] [--n N] [--instances I] [--rate R] [--seed K]
-                     [--sched sync|random] [--p P] [--crash-prob P] [--crash-horizon T]
-                     [--universe U] [--fuel F] [--quantum Q] [--jobs J]
-                     [--format text|json]
-  ftcolor cluster    [--alg NAME|all] [--n N] [--seed K] [--faults JSON] [--rto-ms MS]
-                     [--pace-ms MS] [--tick-ms MS] [--max-wall-ms MS] [--codec json|binary]
-                     [--format text|json] [--emit-trace] [--record FILE] [--replay FILE]
-  ftcolor node       [--codec json|binary]
-                     (internal: one cluster node, spawned by `ftcolor cluster`;
-                     speaks JSON lines or length-prefixed binary frames on
-                     stdin/stdout — see README § wire formats)
-  ftcolor help       (also -h or --help, after any subcommand)
-
-FLAGS:
-  --alg          alg1 | alg2 | alg2p | alg3 | alg3p    (default alg3)
-                 (shrink also accepts eagermis; analyze accepts every
-                 registry name, `rt` for the runtime race matrix, or
-                 `all` for everything)
-  --n            ring size (with --input)              (default 8)
-  --ids          explicit identifiers, e.g. 5,11,7
-  --input        staircase | staircase-poly | random | alternating | organ-pipe
-                                                       (default random)
-  --sched        sync | rr | random | solo | wave      (default random)
-  --seed         u64 seed for inputs/schedules          (default 0)
-  --timeline     print the step-by-step execution
-  --max-configs  exploration cap for modelcheck        (default 2000000)
-  --symmetry     modelcheck: canonicalize configurations under the
-                 cycle's rotations/reflections (sound only on cycle
-                 topologies — guarded; witnesses are de-canonicalized,
-                 verdicts provably match full exploration)
-  --por          modelcheck: certified partial-order reduction —
-                 enumerate only connected activation subsets (plus the
-                 canonical-component staircase for solo-terminating
-                 algorithms). Refused unless the algorithm ships a POR
-                 certificate that survives a dynamic commutation probe;
-                 verdicts provably match full exploration. Composes
-                 with --symmetry
-  --extmem       modelcheck: spill the visited-set key→id map to sorted
-                 run files under DIR (delayed duplicate detection);
-                 outcomes stay bit-identical to in-RAM runs. The node
-                 arena and edge lists remain in RAM
-  --extmem-budget  RAM budget in bytes for the --extmem insertion
-                 buffer before each spill                (default 268435456)
-  --bloom        modelcheck: replace the visited-set with a BITS-bit
-                 Bloom filter. LOSSY falsification sweep: reported
-                 safety violations are sound and replayable, but
-                 livelock detection is off and a clean run certifies
-                 nothing (output carries lossy=true and the estimated
-                 false-positive budget)
-  --generations  fuzzer generations                    (default 150)
-  --jobs         worker threads; 0 = all CPUs           (default 1)
-                 results are identical for every value
-  --in           shrink input: a witness fixture ({schema, alg, ids, raw,
-                 shrunk}), a bare safety violation ({description, schedule}),
-                 a bare livelock witness ({prefix, cycle}), or a trace
-                 ({n, steps}); fixtures carry --alg/--ids themselves
-  --out          write the shrunk result as a witness fixture JSON
-  --bound        shrink a trace as an activation-bound overrun (> B)
-  --sizes        analyze: cycle sizes to lint on, e.g. 5,8 (default 5,8)
-  --rules        analyze/certify: keep only these rule codes, e.g.
-                 FTC-SWMR-001,FTC-RT-104 (default: all rules)
-  --domain-colors certify: candidate-color lattice bound for the
-                 abstract view domains (default 5, the paper's palette;
-                 values below an algorithm's claim breach the domain)
-  --format       analyze/netsim/modelcheck: text | json (default text)
-  --faults       netsim: inline fault-plan JSON, e.g.
-                 '{\"drop\":0.1,\"crashes\":[{\"node\":2,\"at\":5}]}'
-                 (default: the clean plan — no faults)
-  --max-time     netsim: logical-time budget            (default 100000)
-  --codec        netsim/cluster: wire encoding for frames in flight
-                 (default json). `binary` is the compact length-prefixed
-                 format; `typed` (netsim only) skips byte serialization
-                 inside the router while charging fault accounting the
-                 measured binary size. Verdicts and traces are identical
-                 across codecs — only byte encodings and wall time differ
-  --instances    serve: total instances to admit        (default 1000;
-                 1 = a single materialized ring, the n=10M regime)
-  --rate         serve: arrivals per sweep round        (default 64)
-  --p            serve: random-subset inclusion prob     (default 0.5)
-  --crash-prob   serve: per-instance crash-noise prob    (default 0)
-  --crash-horizon serve: latest noise crash time         (default 8)
-  --universe     serve: identifier universe size         (default 64)
-  --fuel         serve: per-instance step budget         (default 100000)
-  --quantum      serve: schedule steps per sweep visit   (default 8)
-  --emit-trace   netsim/cluster: include the full trace in the output
-  --rto-ms       cluster: node retransmit timeout in ms  (default 25)
-  --pace-ms      cluster: node pause per round in ms     (default 15;
-                 nonzero stretches runs so SIGKILLs land mid-protocol)
-  --tick-ms      cluster: wall ms per fault-plan tick    (default 5;
-                 plan time starts at the last node's init_ok)
-  --max-wall-ms  cluster: wall-clock cap before the run times out and
-                 reports stalls                          (default 30000)
-  --record       cluster: write the recorded trace to FILE (pretty JSON)
-  --replay       cluster: skip the live run; re-verify a recorded trace
-                 offline against in-process node replicas
-";
-
-/// Parses `--jobs` (default 1 worker; `0` means all CPUs downstream).
-fn parse_jobs(opts: &HashMap<String, String>) -> Result<usize, String> {
-    get(opts, "jobs", "1")
-        .parse()
-        .map_err(|e| format!("bad --jobs: {e}"))
+/// One flag a subcommand accepts.
+struct Flag {
+    name: &'static str,
+    /// How the usage shows the flag's value; `None` for a switch.
+    value: Option<&'static str>,
+    default: Option<&'static str>,
+    /// The only values the flag takes, when it takes a fixed few.
+    choices: &'static [&'static str],
+    help: &'static str,
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut out = HashMap::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        let key = match a.strip_prefix("--") {
-            Some(key) => key,
-            None if a == "-h" => "help",
-            None => return Err(format!("expected a --flag, got `{a}`")),
-        };
-        let value = if matches!(key, "timeline" | "emit-trace" | "symmetry" | "por" | "help") {
-            "true".to_string()
-        } else {
-            it.next()
-                .ok_or_else(|| format!("--{key} needs a value"))?
-                .clone()
-        };
-        out.insert(key.to_string(), value);
+/// `flag!("name" VALUE = "default" in CHOICES => "help")` declares a
+/// flag that takes a value (the default and the choices are optional);
+/// `flag!("name" => "help")` declares a switch.
+macro_rules! flag {
+    (@or $none:expr) => { $none };
+    (@or $none:expr, $some:expr) => { $some };
+    ($name:literal $($value:ident $(= $default:literal)? $(in $choices:expr)?)? => $help:literal) => {
+        Flag {
+            name: $name,
+            value: flag!(@or None $(, Some(stringify!($value)))?),
+            default: flag!(@or None $($(, Some($default))?)?),
+            choices: flag!(@or &[] $($(, $choices)?)?),
+            help: $help,
+        }
+    };
+}
+
+/// A subcommand: its flag table and the function that runs it.
+struct Cmd {
+    name: &'static str,
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Opts) -> Result<(), String>,
+}
+
+impl Cmd {
+    const fn new(name: &'static str, run: fn(&Opts) -> Result<(), String>) -> Cmd {
+        Cmd {
+            name,
+            about: "",
+            flags: &[],
+            run,
+        }
     }
-    Ok(out)
-}
 
-fn get<'a>(opts: &'a HashMap<String, String>, key: &str, default: &'a str) -> &'a str {
-    opts.get(key).map_or(default, String::as_str)
-}
+    const fn about(self, about: &'static str) -> Cmd {
+        Cmd { about, ..self }
+    }
 
-/// Parses `--codec` against the codecs a subcommand supports (the
-/// cluster's real pipes carry bytes, so `typed` is simulator-only).
-fn parse_codec(opts: &HashMap<String, String>, allowed: &[Codec]) -> Result<Codec, String> {
-    let name = get(opts, "codec", "json");
-    match Codec::parse(name) {
-        Some(c) if allowed.contains(&c) => Ok(c),
-        Some(c) => Err(format!("--codec {} is not supported here", c.name())),
-        None => Err(format!(
-            "unknown --codec `{name}` (expected {})",
-            allowed
-                .iter()
-                .map(|c| c.name())
-                .collect::<Vec<_>>()
-                .join("|")
-        )),
+    const fn flags(self, flags: &'static [Flag]) -> Cmd {
+        Cmd { flags, ..self }
+    }
+
+    fn flag(&self, name: &str) -> Option<&'static Flag> {
+        self.flags.iter().find(|f| f.name == name)
     }
 }
 
-fn parse_ids(opts: &HashMap<String, String>) -> Result<Vec<u64>, String> {
-    if let Some(list) = opts.get("ids") {
-        let ids: Result<Vec<u64>, _> = list.split(',').map(|s| s.trim().parse()).collect();
-        return ids.map_err(|e| format!("bad --ids: {e}"));
-    }
-    let n: usize = get(opts, "n", "8")
-        .parse()
-        .map_err(|e| format!("bad --n: {e}"))?;
-    let seed: u64 = get(opts, "seed", "0")
-        .parse()
-        .map_err(|e| format!("bad --seed: {e}"))?;
-    Ok(match get(opts, "input", "random") {
-        "staircase" => inputs::staircase(n),
-        "staircase-poly" => inputs::staircase_poly(n),
-        "alternating" => inputs::alternating(n),
-        "organ-pipe" => inputs::organ_pipe(n),
-        "random" => inputs::random_unique(n, (n as u64).pow(3).max(64), seed),
-        other => return Err(format!("unknown --input `{other}`")),
-    })
-}
+/// The paper's coloring algorithms and their patched variants.
+const COLORINGS: &[&str] = &["alg1", "alg2", "alg2p", "alg3", "alg3p"];
 
-fn make_schedule(kind: &str, n: usize, seed: u64) -> Result<Box<dyn Schedule>, String> {
-    Ok(match kind {
-        "sync" => Box::new(Synchronous::new()),
-        "rr" => Box::new(RoundRobin::new()),
-        "random" => Box::new(RandomSubset::new(seed, 0.5)),
-        "solo" => Box::new(SoloRunner::ascending(n)),
-        "wave" => Box::new(Wave::new(n, 3, 2)),
-        other => return Err(format!("unknown --sched `{other}`")),
-    })
-}
+const N: Flag = flag!("n" N = "8" => "ring size");
+const IDS: Flag = flag!("ids" LIST => "identifiers, e.g. 5,11,7 (instead of --n and --input)");
+const INPUT: Flag = flag!("input" KIND = "random"
+    in &["staircase", "staircase-poly", "random", "alternating", "organ-pipe"]
+    => "identifier pattern for --n");
+const SEED: Flag = flag!("seed" K = "0" => "u64 seed");
+const JOBS: Flag = flag!("jobs" J = "1" => "worker threads, 0 = all CPUs; results are identical");
+const FORMAT: Flag = flag!("format" F = "text" in &["text", "json"] => "output format");
+const RULES: Flag = flag!("rules" CODES => "keep only these rule codes, e.g. FTC-SWMR-001");
+const FAULTS: Flag = flag!("faults" JSON = "{}" => "fault plan; {} is a clean network, \
+    '{\"drop\":0.1,\"crashes\":[{\"node\":2,\"at\":5}]}' drops and crashes");
+const EMIT_TRACE: Flag = flag!("emit-trace" => "include the full trace in the output");
 
-/// Runs one coloring algorithm generically and prints the outcome.
-fn run_and_print<A>(
-    alg: &A,
-    ids: &[u64],
-    sched_kind: &str,
-    seed: u64,
-    timeline: bool,
-    cell: impl Fn(&A::Reg) -> String,
-) -> Result<(), String>
-where
-    A: Algorithm<Input = u64>,
-    A::Output: std::fmt::Debug,
-{
-    let topo = Topology::cycle(ids.len()).map_err(|e| e.to_string())?;
-    let mut exec = Execution::new(alg, &topo, ids.to_vec());
-    if timeline {
-        let sched = make_schedule(sched_kind, ids.len(), seed)?;
-        let text = render_timeline(&mut exec, sched, 100_000, cell);
-        println!("{text}");
-    } else {
-        let sched = make_schedule(sched_kind, ids.len(), seed)?;
-        exec.run(sched, 10_000_000).map_err(|e| e.to_string())?;
-    }
-    println!("coloring: {}", render_ring_coloring(exec.outputs()));
-    println!(
-        "max activations: {}",
-        topo.nodes()
-            .map(|p| exec.activation_count(p))
-            .max()
-            .unwrap_or(0)
+const CMDS: &[Cmd] = &[
+    Cmd::new("color", |o| with_alg(o, o.str("alg"), Color(o)))
+        .about("run a coloring algorithm on a ring and print the result")
+        .flags(&[
+            flag!("alg" A = "alg3" in COLORINGS => "algorithm"),
+            N,
+            IDS,
+            INPUT,
+            SEED,
+            flag!("sched" S = "random" in &["sync", "rr", "random", "solo", "wave"] => "schedule"),
+            flag!("timeline" => "print the step-by-step execution"),
+        ]),
+    Cmd::new("modelcheck", |o| with_alg(o, o.str("alg"), Modelcheck(o)))
+        .about("explore every schedule on a small ring; report safety and livelock")
+        .flags(&[
+            flag!("alg" A = "alg2" in COLORINGS => "algorithm"),
+            N,
+            IDS,
+            INPUT,
+            SEED,
+            flag!("max-configs" M = "2000000" => "exploration cap"),
+            JOBS,
+            flag!("symmetry" => "explore one configuration per rotation/reflection orbit"),
+            flag!("por" => "certified partial-order reduction (refused without a certificate)"),
+            flag!("extmem" DIR => "spill the visited set to sorted run files under DIR"),
+            flag!("extmem-budget" BYTES = "268435456" => "RAM for the --extmem buffer"),
+            flag!("bloom" BITS => "LOSSY Bloom-filter visited set: finds violations, proves nothing"),
+            FORMAT,
+        ]),
+    Cmd::new("fuzz", |o| with_alg(o, o.str("alg"), Fuzz(o)))
+        .about("evolutionary adversarial schedule search (violations are shrunk)")
+        .flags(&[
+            flag!("alg" A = "alg2" in &["alg2", "alg2p", "alg3", "alg3p"] => "algorithm"),
+            N,
+            IDS,
+            INPUT,
+            SEED,
+            flag!("generations" G = "150" => "fuzzer generations"),
+            JOBS,
+        ]),
+    Cmd::new("shrink", cmd_shrink)
+        .about("delta-debug a witness file to locally minimal form")
+        .flags(&[
+            flag!("in" FILE => "a witness fixture, safety violation, livelock witness or trace"),
+            flag!("out" FILE => "write the shrunk result as a witness fixture"),
+            flag!("alg" A = "alg2" in &["alg1", "alg2", "alg2p", "alg3", "alg3p", "eagermis"]
+                => "algorithm, unless --in is a fixture"),
+            N,
+            IDS,
+            INPUT,
+            SEED,
+            JOBS,
+            flag!("bound" B => "shrink a trace as an activation-bound overrun (> B)"),
+        ]),
+    Cmd::new("analyze", cmd_analyze)
+        .about("lint shipped algorithms against the model contract; race-check the runtime")
+        .flags(&[
+            flag!("alg" NAME = "all" => "a registry name, rt for the runtime race matrix, or all"),
+            flag!("sizes" LIST = "5,8" => "cycle sizes to lint on"),
+            RULES,
+            FORMAT,
+        ]),
+    Cmd::new("certify", cmd_certify)
+        .about("certify registry algorithms by abstract interpretation")
+        .flags(&[
+            flag!("alg" NAME = "all" => "a registry name, or all"),
+            flag!("domain-colors" C = "5" => "candidate-color bound of the view domains"),
+            RULES,
+            FORMAT,
+        ]),
+    Cmd::new("netsim", cmd_netsim)
+        .about("run registry algorithms on the simulated network under a fault plan")
+        .flags(&[
+            flag!("alg" NAME = "all" => "a registry name, or all"),
+            N,
+            SEED,
+            flag!("max-time" T = "100000" => "logical-time budget"),
+            FAULTS,
+            flag!("codec" C = "json" in &["json", "binary", "typed"] => "wire encoding"),
+            FORMAT,
+            EMIT_TRACE,
+        ]),
+    Cmd::new("serve", |o| with_alg(o, o.str("alg"), Serve(o)))
+        .about("drive a seeded open-loop fleet of rings through the batch engine")
+        .flags(&[
+            flag!("alg" A = "alg2p" in COLORINGS => "algorithm"),
+            flag!("n" N = "5" => "ring size"),
+            flag!("instances" I = "1000" => "instances to admit (1 = one materialized ring)"),
+            flag!("rate" R = "64" => "arrivals per sweep round"),
+            SEED,
+            flag!("sched" S = "random" in &["sync", "random"] => "schedule"),
+            flag!("p" P = "0.5" => "random-subset inclusion probability"),
+            flag!("crash-prob" P = "0" => "per-instance crash-noise probability"),
+            flag!("crash-horizon" T = "8" => "latest noise crash time"),
+            flag!("universe" U = "64" => "identifier universe size"),
+            flag!("fuel" F = "100000" => "per-instance step budget"),
+            flag!("quantum" Q = "8" => "schedule steps per sweep visit"),
+            JOBS,
+            FORMAT,
+        ]),
+    Cmd::new("cluster", cmd_cluster)
+        .about("run a ring of real node processes, or re-verify a recorded trace")
+        .flags(&[
+            flag!("alg" NAME = "alg2p" => "alg1, alg2, alg2p, alg3, alg3p, or all"),
+            flag!("n" N = "5" => "ring size"),
+            SEED,
+            FAULTS,
+            flag!("rto-ms" MS = "25" => "node retransmit timeout"),
+            flag!("pace-ms" MS = "15" => "node pause per round, so SIGKILLs land mid-protocol"),
+            flag!("tick-ms" MS = "5" => "wall time per fault-plan tick, from the last init_ok"),
+            flag!("max-wall-ms" MS = "30000" => "wall-clock cap before the run times out"),
+            flag!("codec" C = "json" in &["json", "binary"] => "wire encoding"),
+            FORMAT,
+            EMIT_TRACE,
+            flag!("record" FILE => "write the recorded trace to FILE"),
+            flag!("replay" FILE => "re-verify a recorded trace offline instead of a live run"),
+        ]),
+    Cmd::new("node", |o| cluster::node_main(o.codec()))
+        .about("one cluster node, spawned by `ftcolor cluster`; frames on stdin/stdout")
+        .flags(&[flag!("codec" C = "json" in &["json", "binary"] => "wire encoding")]),
+];
+
+/// The usage text for `cmds`, generated from their flag tables.
+fn usage(cmds: &[Cmd]) -> String {
+    let mut text = String::from(
+        "ftcolor — wait-free coloring of the asynchronous cycle (PODC 2022 reproduction)\n\n\
+         USAGE: ftcolor <subcommand> [--flag [VALUE]]...\n\
+         `ftcolor help` lists every subcommand; --help or -h after one lists its flags.\n",
     );
-    let proper = topo.is_proper_partial_coloring(exec.outputs());
-    println!("proper: {proper}");
-    if !proper {
-        return Err("output is not a proper coloring (bug!)".into());
+    for cmd in cmds {
+        text += &format!("\nftcolor {} — {}\n", cmd.name, cmd.about);
+        for f in cmd.flags {
+            let mut help = f.help.to_string();
+            if !f.choices.is_empty() {
+                help += &format!(": {}", f.choices.join(" | "));
+            }
+            if let Some(default) = f.default {
+                help += &format!(" (default {default})");
+            }
+            let head = format!("{} {}", f.name, f.value.unwrap_or_default());
+            text += &format!("  --{head:<22}{help}\n");
+        }
     }
-    Ok(())
+    text
 }
 
-fn cmd_color(opts: &HashMap<String, String>) -> Result<(), String> {
-    let ids = parse_ids(opts)?;
-    let seed: u64 = get(opts, "seed", "0")
-        .parse()
-        .map_err(|e| format!("bad --seed: {e}"))?;
-    let sched = get(opts, "sched", "random");
-    let timeline = opts.contains_key("timeline");
-    println!("ids: {ids:?}");
-    match get(opts, "alg", "alg3") {
-        "alg1" => run_and_print(&SixColoring, &ids, sched, seed, timeline, |r| {
-            format!("{}", r.color)
-        }),
-        "alg2" => run_and_print(&FiveColoring, &ids, sched, seed, timeline, |r| {
-            format!("({},{})", r.a, r.b)
-        }),
-        "alg2p" => run_and_print(&FiveColoringPatched, &ids, sched, seed, timeline, |r| {
-            format!("({},{})c{}", r.a, r.b, r.c)
-        }),
-        "alg3" => run_and_print(&FastFiveColoring, &ids, sched, seed, timeline, |r| {
-            format!("x{}({},{})", r.x, r.a, r.b)
-        }),
-        "alg3p" => run_and_print(&FastFiveColoringPatched, &ids, sched, seed, timeline, |r| {
-            format!("x{}({},{})c{}", r.x, r.a, r.b, r.c)
-        }),
-        other => Err(format!("unknown --alg `{other}`")),
+fn bad(name: &str, e: impl Display) -> String {
+    format!("bad --{name}: {e}")
+}
+
+fn not_one_of(name: &str, value: &str, choices: &[&str]) -> String {
+    let choices = choices.join("|");
+    format!("unknown --{name} `{value}` (expected {choices})")
+}
+
+/// The flags given to one subcommand, checked against its table.
+struct Opts {
+    cmd: &'static Cmd,
+    given: HashMap<&'static str, String>,
+}
+
+impl Opts {
+    fn parse(cmd: &'static Cmd, args: &[String]) -> Result<Opts, String> {
+        let mut given = HashMap::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let flag = arg
+                .strip_prefix("--")
+                .and_then(|key| cmd.flag(key))
+                .ok_or_else(|| format!("`ftcolor {}` has no flag `{arg}`", cmd.name))?;
+            let value = match flag.value {
+                Some(_) => args.next().cloned().ok_or(format!("{arg} needs a value"))?,
+                None => String::new(),
+            };
+            if !flag.choices.is_empty() && !flag.choices.contains(&value.as_str()) {
+                return Err(not_one_of(flag.name, &value, flag.choices));
+            }
+            if given.insert(flag.name, value).is_some() {
+                return Err(format!("{arg} given twice to `ftcolor {}`", cmd.name));
+            }
+        }
+        Ok(Opts { cmd, given })
     }
+
+    fn flag(&self, name: &str) -> &'static Flag {
+        let cmd = self.cmd.name;
+        self.cmd
+            .flag(name)
+            .unwrap_or_else(|| panic!("`ftcolor {cmd}` declares no --{name}"))
+    }
+
+    /// The text of `--name` as given, else its default.
+    fn raw(&self, name: &str) -> Option<&str> {
+        let given = self.given.get(name).map(String::as_str);
+        given.or(self.flag(name).default)
+    }
+
+    /// The text of `--name`, for a flag that has a default.
+    fn str(&self, name: &str) -> &str {
+        self.raw(name).expect("the flag has a default")
+    }
+
+    /// Whether the switch `--name` was given.
+    fn on(&self, name: &str) -> bool {
+        self.given.contains_key(self.flag(name).name)
+    }
+
+    /// Parses one value of `--name`: the one place flag text becomes a
+    /// typed value, so every `bad --X` parse error comes from here.
+    fn parse_as<T: FromStr<Err: Display>>(name: &str, text: &str) -> Result<T, String> {
+        text.parse().map_err(|e| bad(name, e))
+    }
+
+    /// `--name` (or its default) parsed as `T`; `None` when it has neither.
+    fn get<T: FromStr<Err: Display>>(&self, name: &str) -> Result<Option<T>, String> {
+        self.raw(name)
+            .map(|text| Opts::parse_as(name, text))
+            .transpose()
+    }
+
+    /// `--name` parsed as `T`, for a flag that has a default.
+    fn val<T: FromStr<Err: Display>>(&self, name: &str) -> Result<T, String> {
+        Opts::parse_as(name, self.str(name))
+    }
+
+    /// `--name` as a comma-separated list of `T`.
+    fn list<T: FromStr<Err: Display>>(&self, name: &str) -> Result<Option<Vec<T>>, String> {
+        let items = |text: &str| {
+            text.split(',')
+                .map(|s| Opts::parse_as(name, s.trim()))
+                .collect()
+        };
+        self.raw(name).map(items).transpose()
+    }
+
+    fn json(&self) -> bool {
+        self.str("format") == "json"
+    }
+
+    /// The `--codec` the table admitted.
+    fn codec(&self) -> Codec {
+        Codec::parse(self.str("codec")).expect("every --codec choice names a codec")
+    }
+}
+
+/// What the subcommands need to know about an algorithm beyond
+/// [`Algorithm`]: the safety predicate `modelcheck`, `fuzz` and `shrink`
+/// check, the palette and color index `serve` checks outputs against,
+/// and how `color --timeline` draws a register.
+trait CliAlg:
+    Algorithm<
+        Input = u64,
+        State: Eq + Hash + Send + Sync,
+        Reg: Eq + Hash + Send + Sync,
+        Output: Eq + Hash + Send + Sync,
+    > + Sync
+{
+    const PALETTE: usize;
+    fn safety(topo: &Topology, outs: &[Option<Self::Output>]) -> Option<String>;
+    fn color_index(out: &Self::Output) -> usize;
+    fn cell(reg: &Self::Reg) -> String;
+}
+
+/// A subcommand's work, generic over the algorithm `--alg` names.
+trait AlgTask {
+    fn run<A: CliAlg>(self, alg: &A, name: &str) -> Result<(), String>;
+}
+
+/// One row per algorithm that `--alg` can name:
+/// `"name" => Type: palette, safety, |output| color index, |register| cell;`.
+/// Besides the `CliAlg` impls it defines `with_alg`, the one map from
+/// `--alg` names to algorithm types.
+macro_rules! cli_algs {
+    ($($name:literal => $alg:ident: $palette:literal, $safety:expr,
+        |$out:ident| $color:expr, |$reg:ident| $cell:expr;)*) => {
+        $(impl CliAlg for $alg {
+            const PALETTE: usize = $palette;
+            fn safety(topo: &Topology, outs: &[Option<Self::Output>]) -> Option<String> {
+                $safety(topo, outs)
+            }
+            fn color_index($out: &Self::Output) -> usize {
+                $color
+            }
+            fn cell($reg: &Self::Reg) -> String {
+                $cell
+            }
+        })*
+
+        /// Runs `task` on the algorithm `name`, if `--alg` of `opts`'s
+        /// subcommand accepts it.
+        fn with_alg(opts: &Opts, name: &str, task: impl AlgTask) -> Result<(), String> {
+            let accepted = opts.flag("alg").choices;
+            match name {
+                _ if !accepted.contains(&name) => Err(not_one_of("alg", name, accepted)),
+                $($name => task.run(&$alg, name),)*
+                other => unreachable!("--alg {other} is accepted but names no algorithm"),
+            }
+        }
+    };
+}
+
+cli_algs! {
+    "alg1" => SixColoring: 6,
+        |t: &Topology, o| t.first_conflict(o).map(|(a, b)| format!("conflict {a}-{b}")),
+        |c| index(c.flat_index()), |r| format!("{}", r.color);
+    "alg2" => FiveColoring: 5, coloring_safety, |c| index(*c), |r| format!("({},{})", r.a, r.b);
+    "alg2p" => FiveColoringPatched: 5, coloring_safety, |c| index(*c),
+        |r| format!("({},{})c{}", r.a, r.b, r.c);
+    "alg3" => FastFiveColoring: 5, coloring_safety, |c| index(*c),
+        |r| format!("x{}({},{})", r.x, r.a, r.b);
+    "alg3p" => FastFiveColoringPatched: 5, coloring_safety, |c| index(*c),
+        |r| format!("x{}({},{})c{}", r.x, r.a, r.b, r.c);
+    "eagermis" => EagerMis: 2, mis_violation, |o| usize::from(*o == MisOutput::In),
+        |r| format!("{r:?}");
 }
 
 fn coloring_safety(topo: &Topology, outs: &[Option<u64>]) -> Option<String> {
     if let Some((a, b)) = topo.first_conflict(outs) {
         return Some(format!("conflict on edge {a}-{b}"));
     }
-    outs.iter()
-        .flatten()
-        .find(|&&c| c > 4)
-        .map(|c| format!("color {c} outside the palette"))
+    let c = outs.iter().flatten().find(|&&c| c > 4)?;
+    Some(format!("color {c} outside the palette"))
 }
 
-/// Symmetry-invariant part of the modelcheck JSON output: counts shrink
-/// under `--symmetry`, these booleans must not — CI diffs this object
-/// between the two modes.
-#[derive(serde::Serialize)]
-struct VerdictJson {
-    safety_violated: bool,
-    livelock_found: bool,
-    truncated: bool,
+fn index(color: u64) -> usize {
+    usize::try_from(color).expect("color index fits usize")
 }
 
-/// `ftcolor modelcheck --format json` payload.
-#[derive(serde::Serialize)]
-struct ModelcheckJson {
-    alg: String,
-    ids: Vec<u64>,
-    symmetry: bool,
-    por: bool,
-    lossy: bool,
-    jobs: usize,
-    verdict: VerdictJson,
-    safety_description: Option<String>,
-    configs: usize,
-    edges: usize,
-    fully_terminated_configs: usize,
-    stats: ExploreStats,
-}
-
-fn cmd_modelcheck(opts: &HashMap<String, String>) -> Result<(), String> {
-    let ids = parse_ids(opts)?;
-    if ids.len() > 7 {
-        return Err("modelcheck needs a small instance (≤ 7 processes)".into());
+/// `--ids`, else `--n` identifiers in the `--input` pattern.
+fn ring_ids(opts: &Opts) -> Result<Vec<u64>, String> {
+    if let Some(ids) = opts.list("ids")? {
+        return Ok(ids);
     }
-    let cap: usize = get(opts, "max-configs", "2000000")
-        .parse()
-        .map_err(|e| format!("bad --max-configs: {e}"))?;
-    let jobs = parse_jobs(opts)?;
-    let symmetry = opts.contains_key("symmetry");
-    let por = opts.contains_key("por");
-    let extmem = opts.get("extmem").map(|dir| -> Result<_, String> {
-        let ram_budget_bytes = get(opts, "extmem-budget", "268435456")
-            .parse()
-            .map_err(|e| format!("bad --extmem-budget: {e}"))?;
-        Ok(ExtmemConfig {
-            dir: dir.into(),
-            ram_budget_bytes,
-        })
-    });
-    let extmem = extmem.transpose()?;
-    let bloom: Option<u64> = opts
-        .get("bloom")
-        .map(|b| b.parse().map_err(|e| format!("bad --bloom: {e}")))
-        .transpose()?;
-    let format = get(opts, "format", "text");
-    if !matches!(format, "text" | "json") {
-        return Err(format!("unknown --format `{format}`"));
-    }
-    let alg_name = get(opts, "alg", "alg2").to_string();
-    let topo = Topology::cycle(ids.len()).map_err(|e| e.to_string())?;
+    let n: usize = opts.val("n")?;
+    Ok(match opts.str("input") {
+        "staircase" => inputs::staircase(n),
+        "staircase-poly" => inputs::staircase_poly(n),
+        "alternating" => inputs::alternating(n),
+        "organ-pipe" => inputs::organ_pipe(n),
+        "random" => inputs::random_unique(n, (n as u64).pow(3).max(64), opts.val("seed")?),
+        other => unreachable!("--input {other} is outside the flag table"),
+    })
+}
 
-    macro_rules! check {
-        ($alg:expr, $safety:expr) => {{
-            let safety = $safety;
-            let mut mc = ModelChecker::new($alg, &topo, ids.clone())
-                .with_max_configs(cap)
-                .with_jobs(jobs)
-                .with_symmetry(symmetry)
-                .with_por(por);
-            if let Some(cfg) = extmem.clone() {
-                mc = mc.with_extmem(cfg);
+fn make_schedule(kind: &str, n: usize, seed: u64) -> Box<dyn Schedule> {
+    match kind {
+        "sync" => Box::new(Synchronous::new()),
+        "rr" => Box::new(RoundRobin::new()),
+        "random" => Box::new(RandomSubset::new(seed, 0.5)),
+        "solo" => Box::new(SoloRunner::ascending(n)),
+        "wave" => Box::new(Wave::new(n, 3, 2)),
+        other => unreachable!("--sched {other} is outside the flag table"),
+    }
+}
+
+/// A JSON object with `fields` in order.
+fn object(fields: Vec<(&str, serde::Value)>) -> serde::Value {
+    let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+    serde::Value::Object(fields.collect())
+}
+
+fn print_json(value: &impl Serialize) -> Result<(), String> {
+    let text = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
+    println!("{text}");
+    Ok(())
+}
+
+fn print_shrunk_header(stats: &ShrinkStats) {
+    println!(
+        "shrunk witness ({} -> {} activation slots, {} replays):",
+        stats.original_slots, stats.shrunk_slots, stats.replays
+    );
+}
+
+fn print_livelock(lw: &LivelockWitness) {
+    println!("{}", render_schedule(&lw.prefix));
+    println!("-- cycle --");
+    println!("{}", render_schedule(&lw.cycle));
+}
+
+/// `ftcolor color`: runs one coloring algorithm and prints the outcome.
+struct Color<'a>(&'a Opts);
+
+impl AlgTask for Color<'_> {
+    fn run<A: CliAlg>(self, alg: &A, _: &str) -> Result<(), String> {
+        let ids = ring_ids(self.0)?;
+        let seed = self.0.val("seed")?;
+        println!("ids: {ids:?}");
+        let topo = Topology::cycle(ids.len()).map_err(|e| e.to_string())?;
+        let sched = make_schedule(self.0.str("sched"), ids.len(), seed);
+        let mut exec = Execution::new(alg, &topo, ids);
+        if self.0.on("timeline") {
+            println!("{}", render_timeline(&mut exec, sched, 100_000, A::cell));
+        } else {
+            exec.run(sched, 10_000_000).map_err(|e| e.to_string())?;
+        }
+        println!("coloring: {}", render_ring_coloring(exec.outputs()));
+        println!(
+            "max activations: {}",
+            topo.nodes()
+                .map(|p| exec.activation_count(p))
+                .max()
+                .unwrap_or(0)
+        );
+        let proper = topo.is_proper_partial_coloring(exec.outputs());
+        println!("proper: {proper}");
+        if !proper {
+            return Err("output is not a proper coloring (bug!)".into());
+        }
+        Ok(())
+    }
+}
+
+/// `ftcolor modelcheck`: explores every schedule and prints the verdict
+/// with shrunk witnesses.
+struct Modelcheck<'a>(&'a Opts);
+
+impl AlgTask for Modelcheck<'_> {
+    fn run<A: CliAlg>(self, alg: &A, name: &str) -> Result<(), String> {
+        let opts = self.0;
+        let ids = ring_ids(opts)?;
+        if ids.len() > 7 {
+            return Err("modelcheck needs a small instance (≤ 7 processes)".into());
+        }
+        let (jobs, symmetry, por) = (opts.val("jobs")?, opts.on("symmetry"), opts.on("por"));
+        let topo = Topology::cycle(ids.len()).map_err(|e| e.to_string())?;
+        let mut mc = ModelChecker::new(alg, &topo, ids.clone())
+            .with_max_configs(opts.val("max-configs")?)
+            .with_jobs(jobs)
+            .with_symmetry(symmetry)
+            .with_por(por);
+        if let Some(dir) = opts.raw("extmem") {
+            let ram_budget_bytes = opts.val("extmem-budget")?;
+            mc = mc.with_extmem(ExtmemConfig {
+                dir: dir.into(),
+                ram_budget_bytes,
+            });
+        }
+        if let Some(bits) = opts.get("bloom")? {
+            mc = mc.with_bloom(bits);
+        }
+        let o = mc.explore(A::safety).map_err(|e| e.to_string())?;
+        if opts.json() {
+            // `verdict` is the symmetry-invariant part: counts shrink under
+            // --symmetry, these booleans must not (CI diffs it between modes).
+            let verdict = object(vec![
+                ("safety_violated", o.safety_violation.is_some().to_value()),
+                ("livelock_found", o.livelock.is_some().to_value()),
+                ("truncated", o.truncated.to_value()),
+            ]);
+            let description = o.safety_violation.as_ref().map(|v| &v.description);
+            return print_json(&object(vec![
+                ("alg", name.to_value()),
+                ("ids", ids.to_value()),
+                ("symmetry", symmetry.to_value()),
+                ("por", por.to_value()),
+                ("lossy", o.lossy.to_value()),
+                ("jobs", jobs.to_value()),
+                ("verdict", verdict),
+                ("safety_description", description.to_value()),
+                ("configs", o.configs.to_value()),
+                ("edges", o.edges.to_value()),
+                (
+                    "fully_terminated_configs",
+                    o.fully_terminated_configs.to_value(),
+                ),
+                ("stats", o.stats.to_value()),
+            ]));
+        }
+        println!("{o}");
+        println!("{}", o.stats);
+        let sh = Shrinker::new(alg, &topo, ids).with_jobs(jobs);
+        if let Some(v) = &o.safety_violation {
+            println!("safety violation: {}", v.description);
+            println!("{}", render_schedule(&v.schedule));
+            if let Some(s) = sh.shrink_safety(&v.schedule, &A::safety) {
+                print_shrunk_header(&s.stats);
+                println!("{}", render_schedule(&s.schedule));
             }
-            if let Some(bits) = bloom {
-                mc = mc.with_bloom(bits);
+        }
+        if let Some(lw) = &o.livelock {
+            println!("livelock witness (prefix then repeat cycle):");
+            print_livelock(lw);
+            if let Some(s) = sh.shrink_livelock(lw) {
+                print_shrunk_header(&s.stats);
+                print_livelock(&s.witness);
             }
-            let o = mc.explore(&safety).map_err(|e| e.to_string())?;
-            if format == "json" {
-                let j = ModelcheckJson {
-                    alg: alg_name,
-                    ids: ids.clone(),
-                    symmetry,
-                    por,
-                    lossy: o.lossy,
-                    jobs,
-                    verdict: VerdictJson {
-                        safety_violated: o.safety_violation.is_some(),
-                        livelock_found: o.livelock.is_some(),
-                        truncated: o.truncated,
-                    },
-                    safety_description: o.safety_violation.as_ref().map(|v| v.description.clone()),
-                    configs: o.configs,
-                    edges: o.edges,
-                    fully_terminated_configs: o.fully_terminated_configs,
-                    stats: o.stats.clone(),
-                };
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&j).map_err(|e| e.to_string())?
-                );
-                return Ok(());
-            }
-            println!("{o}");
-            println!("{}", o.stats);
-            let sh = Shrinker::new($alg, &topo, ids.clone()).with_jobs(jobs);
-            if let Some(v) = &o.safety_violation {
-                println!("safety violation: {}", v.description);
-                println!("{}", render_schedule(&v.schedule));
-                if let Some(s) = sh.shrink_safety(&v.schedule, &safety) {
-                    println!(
-                        "shrunk witness ({} -> {} activation slots, {} replays):",
-                        s.stats.original_slots, s.stats.shrunk_slots, s.stats.replays
-                    );
+        }
+        Ok(())
+    }
+}
+
+/// `ftcolor fuzz`: searches for starving or violating schedules and
+/// shrinks violations.
+struct Fuzz<'a>(&'a Opts);
+
+impl AlgTask for Fuzz<'_> {
+    fn run<A: CliAlg>(self, alg: &A, _: &str) -> Result<(), String> {
+        let config = FuzzConfig {
+            generations: self.0.val("generations")?,
+            seed: self.0.val("seed")?,
+            jobs: self.0.val("jobs")?,
+            ..FuzzConfig::default()
+        };
+        let ids = ring_ids(self.0)?;
+        let topo = Topology::cycle(ids.len()).map_err(|e| e.to_string())?;
+        let report = ScheduleFuzzer::new(alg, &topo, ids.clone(), config).run(A::safety);
+        println!(
+            "best score: {} over {} executions",
+            report.best_score, report.evaluated
+        );
+        if report.best_score >= 1000 {
+            println!("starvation found! best schedule:");
+            println!("{}", render_schedule(&report.best_schedule));
+        }
+        if let Some(v) = &report.safety_violation {
+            println!("SAFETY VIOLATION: {v}");
+            if let Some(genome) = &report.violating_schedule {
+                let sh = Shrinker::new(alg, &topo, ids).with_jobs(self.0.val("jobs")?);
+                if let Some(s) = sh.shrink_safety(genome, &A::safety) {
+                    print_shrunk_header(&s.stats);
                     println!("{}", render_schedule(&s.schedule));
                 }
             }
-            if let Some(lw) = &o.livelock {
-                println!("livelock witness (prefix then repeat cycle):");
-                println!("{}", render_schedule(&lw.prefix));
-                println!("-- cycle --");
-                println!("{}", render_schedule(&lw.cycle));
-                if let Some(s) = sh.shrink_livelock(lw) {
-                    println!(
-                        "shrunk witness ({} -> {} activation slots, {} replays):",
-                        s.stats.original_slots, s.stats.shrunk_slots, s.stats.replays
-                    );
-                    println!("{}", render_schedule(&s.witness.prefix));
-                    println!("-- cycle --");
-                    println!("{}", render_schedule(&s.witness.cycle));
-                }
-            }
-        }};
+        }
+        Ok(())
     }
-    match get(opts, "alg", "alg2") {
-        "alg1" => check!(&SixColoring, |t: &Topology, o: &[Option<PairColor>]| {
-            t.first_conflict(o)
-                .map(|(a, b)| format!("conflict {a}-{b}"))
-        }),
-        "alg2" => check!(&FiveColoring, coloring_safety),
-        "alg2p" => check!(&FiveColoringPatched, coloring_safety),
-        "alg3p" => check!(&FastFiveColoringPatched, coloring_safety),
-        "alg3" => check!(&FastFiveColoring, coloring_safety),
-        other => return Err(format!("unknown --alg `{other}`")),
-    }
-    Ok(())
-}
-
-fn cmd_fuzz(opts: &HashMap<String, String>) -> Result<(), String> {
-    let ids = parse_ids(opts)?;
-    let seed: u64 = get(opts, "seed", "0")
-        .parse()
-        .map_err(|e| format!("bad --seed: {e}"))?;
-    let generations: usize = get(opts, "generations", "150")
-        .parse()
-        .map_err(|e| format!("bad --generations: {e}"))?;
-    let jobs = parse_jobs(opts)?;
-    let topo = Topology::cycle(ids.len()).map_err(|e| e.to_string())?;
-    let config = FuzzConfig {
-        generations,
-        seed,
-        jobs,
-        ..FuzzConfig::default()
-    };
-
-    macro_rules! fuzz {
-        ($alg:expr) => {{
-            let fz = ScheduleFuzzer::new($alg, &topo, ids.clone(), config.clone());
-            let report = fz.run(coloring_safety);
-            println!(
-                "best score: {} over {} executions",
-                report.best_score, report.evaluated
-            );
-            if report.best_score >= 1000 {
-                println!("starvation found! best schedule:");
-                println!("{}", render_schedule(&report.best_schedule));
-            }
-            if let Some(v) = &report.safety_violation {
-                println!("SAFETY VIOLATION: {v}");
-                if let Some(genome) = &report.violating_schedule {
-                    let sh = Shrinker::new($alg, &topo, ids.clone()).with_jobs(jobs);
-                    if let Some(s) = sh.shrink_safety(genome, &coloring_safety) {
-                        println!(
-                            "shrunk witness ({} -> {} activation slots, {} replays):",
-                            s.stats.original_slots, s.stats.shrunk_slots, s.stats.replays
-                        );
-                        println!("{}", render_schedule(&s.schedule));
-                    }
-                }
-            }
-        }};
-    }
-    match get(opts, "alg", "alg2") {
-        "alg2" => fuzz!(&FiveColoring),
-        "alg2p" => fuzz!(&FiveColoringPatched),
-        "alg3" => fuzz!(&FastFiveColoring),
-        "alg3p" => fuzz!(&FastFiveColoringPatched),
-        other => return Err(format!("unknown --alg `{other}`")),
-    }
-    Ok(())
 }
 
 /// What `--in` turned out to hold: a ready witness, or a bare schedule
@@ -567,8 +688,8 @@ enum ShrinkInput {
     Schedule(Vec<ActivationSet>),
 }
 
-fn cmd_shrink(opts: &HashMap<String, String>) -> Result<(), String> {
-    let path = opts.get("in").ok_or("shrink needs --in <file>")?;
+fn cmd_shrink(opts: &Opts) -> Result<(), String> {
+    let path = opts.raw("in").ok_or("shrink needs --in <file>")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let value: serde::Value =
         serde_json::from_str(&text).map_err(|e| format!("{path} is not JSON: {e}"))?;
@@ -584,8 +705,8 @@ fn cmd_shrink(opts: &HashMap<String, String>) -> Result<(), String> {
             .map_err(|e| format!("{path} is not a witness fixture: {e}"))?;
         (fx.alg, fx.ids, ShrinkInput::Witness(fx.raw))
     } else {
-        let alg = get(opts, "alg", "alg2").to_string();
-        let ids = parse_ids(opts)?;
+        let alg = opts.str("alg").to_string();
+        let ids = ring_ids(opts)?;
         let input = if has("description") {
             let v: SafetyViolation = serde_json::from_value(value.clone())
                 .map_err(|e| format!("{path} is not a safety violation: {e}"))?;
@@ -606,209 +727,116 @@ fn cmd_shrink(opts: &HashMap<String, String>) -> Result<(), String> {
         };
         (alg, ids, input)
     };
+    with_alg(opts, &alg_name, Shrink { opts, ids, input })
+}
 
-    let jobs = parse_jobs(opts)?;
-    let bound: Option<u64> = match opts.get("bound") {
-        Some(b) => Some(b.parse().map_err(|e| format!("bad --bound: {e}"))?),
-        None => None,
-    };
-    let out = opts.get("out").map(String::as_str);
+/// `ftcolor shrink`: shrinks the input, prints the minimal witness,
+/// replay-verifies it, and optionally writes a schema-v2 fixture.
+struct Shrink<'a> {
+    opts: &'a Opts,
+    ids: Vec<u64>,
+    input: ShrinkInput,
+}
 
-    match alg_name.as_str() {
-        "alg1" => shrink_and_report(
-            &SixColoring,
-            &alg_name,
-            &ids,
-            jobs,
-            bound,
-            &input,
-            out,
-            |t: &Topology, o: &[Option<PairColor>]| {
-                t.first_conflict(o)
-                    .map(|(a, b)| format!("conflict {a}-{b}"))
-            },
-        ),
-        "alg2" => shrink_and_report(
-            &FiveColoring,
-            &alg_name,
-            &ids,
-            jobs,
-            bound,
-            &input,
-            out,
-            coloring_safety,
-        ),
-        "alg2p" => shrink_and_report(
-            &FiveColoringPatched,
-            &alg_name,
-            &ids,
-            jobs,
-            bound,
-            &input,
-            out,
-            coloring_safety,
-        ),
-        "alg3" => shrink_and_report(
-            &FastFiveColoring,
-            &alg_name,
-            &ids,
-            jobs,
-            bound,
-            &input,
-            out,
-            coloring_safety,
-        ),
-        "alg3p" => shrink_and_report(
-            &FastFiveColoringPatched,
-            &alg_name,
-            &ids,
-            jobs,
-            bound,
-            &input,
-            out,
-            coloring_safety,
-        ),
-        "eagermis" => shrink_and_report(
-            &EagerMis,
-            &alg_name,
-            &ids,
-            jobs,
-            bound,
-            &input,
-            out,
-            mis_violation,
-        ),
-        other => Err(format!("unknown --alg `{other}`")),
+impl AlgTask for Shrink<'_> {
+    fn run<A: CliAlg>(self, alg: &A, name: &str) -> Result<(), String> {
+        let bound: Option<u64> = self.opts.get("bound")?;
+        let topo = Topology::cycle(self.ids.len()).map_err(|e| e.to_string())?;
+        let sh = Shrinker::new(alg, &topo, self.ids.clone()).with_jobs(self.opts.val("jobs")?);
+        let (raw, shrunk, stats) = match self.input {
+            ShrinkInput::Witness(w) => {
+                let (s, stats) = sh.shrink_witness(&w, &A::safety).ok_or(
+                    "input witness does not reproduce its violation class on this \
+                     instance (check --alg/--ids)",
+                )?;
+                (w, s, stats)
+            }
+            ShrinkInput::Schedule(steps) => {
+                let (description, s) = match bound {
+                    Some(b) => (
+                        format!("activation bound overrun (> {b})"),
+                        sh.shrink_overrun(&steps, b)
+                            .ok_or(format!("trace never exceeds the bound {b}"))?,
+                    ),
+                    None => {
+                        let s = sh.shrink_safety(&steps, &A::safety).ok_or(
+                            "trace does not reproduce a safety violation (pass --bound to \
+                             shrink an activation-bound overrun instead)",
+                        )?;
+                        (s.description.clone().unwrap_or_default(), s)
+                    }
+                };
+                let raw = SafetyViolation {
+                    description: description.clone(),
+                    schedule: steps,
+                };
+                let shrunk = SafetyViolation {
+                    description,
+                    schedule: s.schedule,
+                };
+                (Witness::Safety(raw), Witness::Safety(shrunk), s.stats)
+            }
+        };
+        // Independent replay check of the shrunk form (overrun witnesses are
+        // outside `reproduces`' two classes; shrink_overrun verified them).
+        if bound.is_none() && !sh.reproduces(&shrunk, &A::safety) {
+            return Err("internal error: shrunk witness failed replay verification".into());
+        }
+        let class = match &shrunk {
+            Witness::Safety(_) => "safety",
+            Witness::Livelock(_) => "livelock",
+        };
+        println!("class: {class}");
+        println!(
+            "activation slots: {} -> {} ({} candidate replays)",
+            stats.original_slots, stats.shrunk_slots, stats.replays
+        );
+        match &shrunk {
+            Witness::Safety(v) => {
+                println!("description: {}", v.description);
+                println!("{}", render_schedule(&v.schedule));
+            }
+            Witness::Livelock(lw) => print_livelock(lw),
+        }
+        if let Some(out) = self.opts.raw("out") {
+            let fixture = WitnessFixture {
+                schema: WITNESS_SCHEMA.to_string(),
+                alg: name.to_string(),
+                ids: self.ids,
+                raw,
+                shrunk,
+            };
+            let json = serde_json::to_string_pretty(&fixture).map_err(|e| e.to_string())?;
+            std::fs::write(out, json + "\n").map_err(|e| format!("cannot write {out}: {e}"))?;
+            println!("wrote {out}");
+        }
+        Ok(())
     }
 }
 
-/// Shrinks `input` on `alg`, prints the minimal witness, replay-verifies
-/// it, and optionally writes a schema-v2 fixture to `out`.
-#[allow(clippy::too_many_arguments)]
-fn shrink_and_report<A>(
-    alg: &A,
-    alg_name: &str,
-    ids: &[u64],
-    jobs: usize,
-    bound: Option<u64>,
-    input: &ShrinkInput,
-    out: Option<&str>,
-    safety: impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync,
-) -> Result<(), String>
-where
-    A: Algorithm<Input = u64> + Sync,
-    A::State: Eq + std::hash::Hash,
-    A::Reg: Eq + std::hash::Hash,
-    A::Output: Eq + std::hash::Hash,
-{
-    let topo = Topology::cycle(ids.len()).map_err(|e| e.to_string())?;
-    let sh = Shrinker::new(alg, &topo, ids.to_vec()).with_jobs(jobs);
-    let (raw, shrunk, stats) = match input {
-        ShrinkInput::Witness(w) => {
-            let (s, stats) = sh.shrink_witness(w, &safety).ok_or(
-                "input witness does not reproduce its violation class on this \
-                 instance (check --alg/--ids)",
-            )?;
-            (w.clone(), s, stats)
-        }
-        ShrinkInput::Schedule(steps) => match bound {
-            Some(b) => {
-                let s = sh
-                    .shrink_overrun(steps, b)
-                    .ok_or(format!("trace never exceeds the bound {b}"))?;
-                let desc = format!("activation bound overrun (> {b})");
-                (
-                    Witness::Safety(SafetyViolation {
-                        description: desc.clone(),
-                        schedule: steps.clone(),
-                    }),
-                    Witness::Safety(SafetyViolation {
-                        description: desc,
-                        schedule: s.schedule,
-                    }),
-                    s.stats,
-                )
-            }
-            None => {
-                let s = sh.shrink_safety(steps, &safety).ok_or(
-                    "trace does not reproduce a safety violation (pass --bound to \
-                     shrink an activation-bound overrun instead)",
-                )?;
-                let desc = s.description.clone().unwrap_or_default();
-                (
-                    Witness::Safety(SafetyViolation {
-                        description: desc.clone(),
-                        schedule: steps.clone(),
-                    }),
-                    Witness::Safety(SafetyViolation {
-                        description: desc,
-                        schedule: s.schedule,
-                    }),
-                    s.stats,
-                )
-            }
-        },
+/// `--rules` as a filter on diagnostics; every rule passes without it.
+fn rule_filter(opts: &Opts) -> Result<impl Fn(&Diagnostic) -> bool, String> {
+    let code = |c: &String| RuleId::from_code(c).ok_or_else(|| format!("unknown rule code `{c}`"));
+    let rules: Option<Vec<RuleId>> = match opts.list::<String>("rules")? {
+        Some(codes) => Some(codes.iter().map(code).collect::<Result<_, _>>()?),
+        None => None,
     };
-    // Independent replay check of the shrunk form (overrun witnesses are
-    // outside `reproduces`' two classes; shrink_overrun verified them).
-    if bound.is_none() && !sh.reproduces(&shrunk, &safety) {
-        return Err("internal error: shrunk witness failed replay verification".into());
-    }
-    let class = match &shrunk {
-        Witness::Safety(_) => "safety",
-        Witness::Livelock(_) => "livelock",
-    };
-    println!("class: {class}");
-    println!(
-        "activation slots: {} -> {} ({} candidate replays)",
-        stats.original_slots, stats.shrunk_slots, stats.replays
-    );
-    match &shrunk {
-        Witness::Safety(v) => {
-            println!("description: {}", v.description);
-            println!("{}", render_schedule(&v.schedule));
-        }
-        Witness::Livelock(lw) => {
-            println!("{}", render_schedule(&lw.prefix));
-            println!("-- cycle --");
-            println!("{}", render_schedule(&lw.cycle));
-        }
-    }
-    if let Some(out) = out {
-        let fixture = WitnessFixture {
-            schema: WITNESS_SCHEMA.to_string(),
-            alg: alg_name.to_string(),
-            ids: ids.to_vec(),
-            raw,
-            shrunk,
-        };
-        let json = serde_json::to_string_pretty(&fixture).map_err(|e| e.to_string())?;
-        std::fs::write(out, json + "\n").map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("wrote {out}");
-    }
-    Ok(())
+    Ok(move |d: &Diagnostic| rules.as_ref().is_none_or(|r| r.contains(&d.rule)))
+}
+
+/// The error for an `--alg` that is not a registry entry.
+fn unknown_registry_alg(alg: &str, or: &str) -> String {
+    let shipped = analyze::SHIPPED.join(", ");
+    format!("unknown --alg `{alg}` (expected one of {shipped}, {or}`all`)")
 }
 
 /// `ftcolor analyze`: run the contract linter over registry entries
 /// (and/or the runtime race matrix) and exit nonzero on any unwaived
 /// diagnostic — the same gate CI enforces.
-fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
-    let sizes: Vec<usize> = get(opts, "sizes", "5,8")
-        .split(',')
-        .map(|s| s.trim().parse().map_err(|e| format!("bad --sizes: {e}")))
-        .collect::<Result<_, _>>()?;
-    let rules: Option<Vec<RuleId>> = match opts.get("rules") {
-        Some(list) => Some(
-            list.split(',')
-                .map(|c| {
-                    RuleId::from_code(c.trim())
-                        .ok_or_else(|| format!("unknown rule code `{}`", c.trim()))
-                })
-                .collect::<Result<_, _>>()?,
-        ),
-        None => None,
-    };
-    let alg = get(opts, "alg", "all");
+fn cmd_analyze(opts: &Opts) -> Result<(), String> {
+    let sizes: Vec<usize> = opts.list("sizes")?.expect("--sizes has a default");
+    let keep = rule_filter(opts)?;
+    let alg = opts.str("alg");
     let cfg = analyze::LintConfig::default();
 
     let mut diags: Vec<Diagnostic> = Vec::new();
@@ -817,34 +845,26 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
             diags.extend(report.diagnostics);
         }
     } else if alg != "rt" {
-        let report = analyze::analyze_alg(alg, &sizes, &cfg).ok_or_else(|| {
-            format!(
-                "unknown --alg `{alg}` (expected one of {}, `rt`, or `all`)",
-                analyze::SHIPPED.join(", ")
-            )
-        })?;
+        let report = analyze::analyze_alg(alg, &sizes, &cfg)
+            .ok_or_else(|| unknown_registry_alg(alg, "`rt`, or "))?;
         diags.extend(report.diagnostics);
     }
     if matches!(alg, "all" | "rt") {
         diags.extend(analyze::race_matrix());
     }
-    if let Some(rules) = &rules {
-        diags.retain(|d| rules.contains(&d.rule));
-    }
+    diags.retain(&keep);
 
     let unwaived = diags.iter().filter(|d| !d.waived).count();
-    match get(opts, "format", "text") {
-        "json" => println!("{}", render_json(&diags)),
-        "text" => {
-            for d in &diags {
-                println!("{}", d.render());
-            }
-            println!(
-                "analyze: {} diagnostic(s), {unwaived} unwaived",
-                diags.len()
-            );
+    if opts.json() {
+        println!("{}", render_json(&diags));
+    } else {
+        for d in &diags {
+            println!("{}", d.render());
         }
-        other => return Err(format!("unknown --format `{other}`")),
+        println!(
+            "analyze: {} diagnostic(s), {unwaived} unwaived",
+            diags.len()
+        );
     }
     if unwaived > 0 {
         return Err(format!("{unwaived} unwaived diagnostic(s)"));
@@ -855,71 +875,66 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
 /// `ftcolor certify`: statically certify registry algorithms by
 /// abstract interpretation over their certified view domains, and exit
 /// nonzero on any unwaived finding — the same gate CI enforces.
-fn cmd_certify(opts: &HashMap<String, String>) -> Result<(), String> {
-    let colors: u64 = get(opts, "domain-colors", "5")
-        .parse()
-        .map_err(|e| format!("bad --domain-colors: {e}"))?;
-    let rules: Option<Vec<RuleId>> = match opts.get("rules") {
-        Some(list) => Some(
-            list.split(',')
-                .map(|c| {
-                    RuleId::from_code(c.trim())
-                        .ok_or_else(|| format!("unknown rule code `{}`", c.trim()))
-                })
-                .collect::<Result<_, _>>()?,
-        ),
-        None => None,
-    };
-    let alg = get(opts, "alg", "all");
+fn cmd_certify(opts: &Opts) -> Result<(), String> {
+    let colors: u64 = opts.val("domain-colors")?;
+    let keep = rule_filter(opts)?;
+    let alg = opts.str("alg");
     let cfg = analyze::CertifyConfig::default();
 
     let mut reports = if alg == "all" {
         analyze::certify_all(colors, &cfg)
     } else {
-        vec![analyze::certify_alg(alg, colors, &cfg).ok_or_else(|| {
-            format!(
-                "unknown --alg `{alg}` (expected one of {}, or `all`)",
-                analyze::SHIPPED.join(", ")
-            )
-        })?]
+        let report = analyze::certify_alg(alg, colors, &cfg);
+        vec![report.ok_or_else(|| unknown_registry_alg(alg, "or "))?]
     };
-    if let Some(rules) = &rules {
-        for r in &mut reports {
-            r.diagnostics.retain(|d| rules.contains(&d.rule));
-        }
+    for r in &mut reports {
+        r.diagnostics.retain(&keep);
     }
 
     let unwaived: usize = reports.iter().map(|r| r.unwaived().count()).sum();
-    match get(opts, "format", "text") {
-        "json" => println!("{}", analyze::render_cert_json(&reports)),
-        "text" => {
-            for r in &reports {
-                for d in &r.diagnostics {
-                    println!("{}", d.render());
-                }
-                let s = &r.stats;
-                let verdict = if s.reachable_states == 0 {
-                    "not certifiable (see waived finding)".to_string()
-                } else {
-                    let solo = match s.solo_bound {
-                        Some(b) => format!("solo bound {b}"),
-                        None => "no solo bound".to_string(),
-                    };
-                    format!(
-                        "{} states ({} decided), {} transitions, {} view regs, {solo}",
-                        s.reachable_states, s.decided_states, s.transitions, s.view_regs
-                    )
-                };
-                println!("certify {}: {verdict}", r.name);
+    if opts.json() {
+        println!("{}", analyze::render_cert_json(&reports));
+    } else {
+        for r in &reports {
+            for d in &r.diagnostics {
+                println!("{}", d.render());
             }
-            println!("certify: {unwaived} unwaived finding(s)");
+            let s = &r.stats;
+            let verdict = if s.reachable_states == 0 {
+                "not certifiable (see waived finding)".to_string()
+            } else {
+                let solo = match s.solo_bound {
+                    Some(b) => format!("solo bound {b}"),
+                    None => "no solo bound".to_string(),
+                };
+                format!(
+                    "{} states ({} decided), {} transitions, {} view regs, {solo}",
+                    s.reachable_states, s.decided_states, s.transitions, s.view_regs
+                )
+            };
+            println!("certify {}: {verdict}", r.name);
         }
-        other => return Err(format!("unknown --format `{other}`")),
+        println!("certify: {unwaived} unwaived finding(s)");
     }
     if unwaived > 0 {
         return Err(format!("{unwaived} unwaived finding(s)"));
     }
     Ok(())
+}
+
+/// The algorithms `--alg` names: all of `all` for `all`, else the one.
+fn all_or_one<'a>(opts: &'a Opts, all: &[&'a str]) -> Vec<&'a str> {
+    match opts.str("alg") {
+        "all" => all.to_vec(),
+        one => vec![one],
+    }
+}
+
+/// `--faults`, checked against an `n`-node ring.
+fn fault_plan(opts: &Opts, n: usize) -> Result<FaultPlan, String> {
+    let plan: FaultPlan = serde_json::from_str(opts.str("faults")).map_err(|e| bad("faults", e))?;
+    plan.check(n).map_err(|e| bad("faults", e))?;
+    Ok(plan)
 }
 
 /// `ftcolor netsim`: run registry algorithms on the message-passing
@@ -928,46 +943,24 @@ fn cmd_certify(opts: &HashMap<String, String>) -> Result<(), String> {
 /// diagnostic, or an unexpected stall — documented-flaw entries (the
 /// `termination-only` oracle) are exempt from the stall check only,
 /// never from safety.
-fn cmd_netsim(opts: &HashMap<String, String>) -> Result<(), String> {
-    let n: usize = get(opts, "n", "8")
-        .parse()
-        .map_err(|e| format!("bad --n: {e}"))?;
+fn cmd_netsim(opts: &Opts) -> Result<(), String> {
+    let n: usize = opts.val("n")?;
     // `analyze::net_run` answers `None` for a ring it cannot build as
     // well as for an unknown algorithm, so check the ring here first.
-    Topology::cycle(n).map_err(|e| format!("bad --n: {e}"))?;
-    let seed: u64 = get(opts, "seed", "0")
-        .parse()
-        .map_err(|e| format!("bad --seed: {e}"))?;
-    let max_time: u64 = get(opts, "max-time", "100000")
-        .parse()
-        .map_err(|e| format!("bad --max-time: {e}"))?;
-    let plan: FaultPlan = match opts.get("faults") {
-        Some(text) => serde_json::from_str(text).map_err(|e| format!("bad --faults: {e}"))?,
-        None => FaultPlan::default(),
-    };
-    let emit_trace = opts.contains_key("emit-trace");
-    let codec = parse_codec(opts, &[Codec::Json, Codec::Binary, Codec::Typed])?;
+    Topology::cycle(n).map_err(|e| bad("n", e))?;
+    let seed: u64 = opts.val("seed")?;
+    let plan = fault_plan(opts, n)?;
+    let emit_trace = opts.on("emit-trace");
     let cfg = NetConfig::new(seed)
-        .max_time(max_time)
+        .max_time(opts.val("max-time")?)
         .record_events(true)
-        .codec(codec);
-
-    let alg = get(opts, "alg", "all");
-    let names: Vec<&str> = if alg == "all" {
-        analyze::SHIPPED.to_vec()
-    } else {
-        vec![alg]
-    };
+        .codec(opts.codec());
 
     let mut failures: Vec<String> = Vec::new();
     let mut items: Vec<serde::Value> = Vec::new();
-    for name in names {
-        let out = analyze::net_run(name, n, seed, &plan, &cfg).ok_or_else(|| {
-            format!(
-                "unknown --alg `{name}` (expected one of {}, or `all`)",
-                analyze::SHIPPED.join(", ")
-            )
-        })?;
+    for name in all_or_one(opts, &analyze::SHIPPED) {
+        let out = analyze::net_run(name, n, seed, &plan, &cfg)
+            .ok_or_else(|| unknown_registry_alg(name, "or "))?;
         let s = &out.summary;
         if !s.valid {
             failures.push(format!("{name}: oracle violation ({})", s.oracle));
@@ -981,59 +974,51 @@ fn cmd_netsim(opts: &HashMap<String, String>) -> Result<(), String> {
         if !s.all_correct_returned && s.oracle != "termination-only" {
             failures.push(format!("{name}: stalled processes {:?}", s.stalled));
         }
-        match get(opts, "format", "text") {
-            "json" => {
-                let mut v = serde_json::to_value(s).map_err(|e| e.to_string())?;
-                if emit_trace {
-                    let t = serde_json::to_value(&out.trace).map_err(|e| e.to_string())?;
-                    if let serde::Value::Object(pairs) = &mut v {
-                        pairs.push(("trace".to_string(), t));
-                    }
-                }
-                items.push(v);
-            }
-            "text" => {
-                println!(
-                    "{name}: n={} seed={} oracle={} valid={} palette_ok={} returned={}",
-                    s.n, s.seed, s.oracle, s.valid, s.palette_ok, s.all_correct_returned
-                );
-                println!(
-                    "  colors: {:?}  crashed: {:?}  stalled: {:?}",
-                    s.colors, s.crashed, s.stalled
-                );
-                println!(
-                    "  rounds_max={} time={} sent={} delivered={} dropped={} \
-                     duplicated={} retransmits={}",
-                    s.rounds_max,
-                    s.time,
-                    s.stats.sent,
-                    s.stats.delivered,
-                    s.stats.dropped + s.stats.partition_dropped,
-                    s.stats.duplicated,
-                    s.stats.retransmits
-                );
-                println!("  trace: {} sends, digest {}", s.trace_len, s.trace_digest);
-                println!(
-                    "  wire: codec={} encoded={} decoded={} bytes={} pool {}/{} hit",
-                    s.wire_codec,
-                    s.wire_frames_encoded,
-                    s.wire_frames_decoded,
-                    s.wire_bytes,
-                    s.wire_pool_hits,
-                    s.wire_pool_hits + s.wire_pool_misses
-                );
-                if emit_trace {
-                    println!("  {}", out.trace.to_json());
+        if opts.json() {
+            let mut v = s.to_value();
+            if emit_trace {
+                if let serde::Value::Object(pairs) = &mut v {
+                    pairs.push(("trace".to_string(), out.trace.to_value()));
                 }
             }
-            other => return Err(format!("unknown --format `{other}`")),
+            items.push(v);
+            continue;
+        }
+        println!(
+            "{name}: n={} seed={} oracle={} valid={} palette_ok={} returned={}",
+            s.n, s.seed, s.oracle, s.valid, s.palette_ok, s.all_correct_returned
+        );
+        println!(
+            "  colors: {:?}  crashed: {:?}  stalled: {:?}",
+            s.colors, s.crashed, s.stalled
+        );
+        println!(
+            "  rounds_max={} time={} sent={} delivered={} dropped={} \
+             duplicated={} retransmits={}",
+            s.rounds_max,
+            s.time,
+            s.stats.sent,
+            s.stats.delivered,
+            s.stats.dropped + s.stats.partition_dropped,
+            s.stats.duplicated,
+            s.stats.retransmits
+        );
+        println!("  trace: {} sends, digest {}", s.trace_len, s.trace_digest);
+        println!(
+            "  wire: codec={} encoded={} decoded={} bytes={} pool {}/{} hit",
+            s.wire_codec,
+            s.wire_frames_encoded,
+            s.wire_frames_decoded,
+            s.wire_bytes,
+            s.wire_pool_hits,
+            s.wire_pool_hits + s.wire_pool_misses
+        );
+        if emit_trace {
+            println!("  {}", out.trace.to_json());
         }
     }
-    if get(opts, "format", "text") == "json" {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&serde::Value::Array(items)).map_err(|e| e.to_string())?
-        );
+    if opts.json() {
+        print_json(&serde::Value::Array(items))?;
     }
     if !failures.is_empty() {
         return Err(failures.join("; "));
@@ -1045,177 +1030,102 @@ fn cmd_netsim(opts: &HashMap<String, String>) -> Result<(), String> {
 /// processes under a fault plan (crashes become SIGKILL), or — with
 /// `--replay` — re-verify a recorded trace offline. Exits nonzero on a
 /// coloring violation, a palette violation, or an unexpected stall.
-fn cmd_cluster(opts: &HashMap<String, String>) -> Result<(), String> {
-    let format = get(opts, "format", "text");
-    if !matches!(format, "text" | "json") {
-        return Err(format!("unknown --format `{format}`"));
-    }
-
-    if let Some(path) = opts.get("replay") {
+fn cmd_cluster(opts: &Opts) -> Result<(), String> {
+    if let Some(path) = opts.raw("replay") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let trace = ClusterTrace::from_json(&text)?;
         let summary = cluster::cluster_replay(&trace)?;
-        print_cluster_summary(&summary, format, "replay", None)?;
+        print_cluster_summary(&summary, opts.json(), "replay")?;
         return cluster_verdict(&[summary]);
     }
 
-    let n: usize = get(opts, "n", "5")
-        .parse()
-        .map_err(|e| format!("bad --n: {e}"))?;
-    let seed: u64 = get(opts, "seed", "0")
-        .parse()
-        .map_err(|e| format!("bad --seed: {e}"))?;
-    let plan: FaultPlan = match opts.get("faults") {
-        Some(text) => serde_json::from_str(text).map_err(|e| format!("bad --faults: {e}"))?,
-        None => FaultPlan::default(),
-    };
-    let parse_ms = |key: &str, default: &str| -> Result<u64, String> {
-        get(opts, key, default)
-            .parse()
-            .map_err(|e| format!("bad --{key}: {e}"))
-    };
+    let n: usize = opts.val("n")?;
+    let seed: u64 = opts.val("seed")?;
+    let plan = fault_plan(opts, n)?;
     let copts = ClusterOptions {
-        rto_ms: parse_ms("rto-ms", "25")?,
-        pace_ms: parse_ms("pace-ms", "15")?,
-        tick_ms: parse_ms("tick-ms", "5")?.max(1),
-        max_wall_ms: parse_ms("max-wall-ms", "30000")?,
-        codec: parse_codec(opts, &[Codec::Json, Codec::Binary])?,
+        rto_ms: opts.val("rto-ms")?,
+        pace_ms: opts.val("pace-ms")?,
+        tick_ms: opts.val::<u64>("tick-ms")?.max(1),
+        max_wall_ms: opts.val("max-wall-ms")?,
+        codec: opts.codec(),
         ..ClusterOptions::default()
     };
-    let emit_trace = opts.contains_key("emit-trace");
-
-    let alg = get(opts, "alg", "alg2p");
-    let names: Vec<&str> = if alg == "all" {
-        cluster::CLUSTER_ALGS.to_vec()
-    } else {
-        vec![alg]
-    };
+    let emit_trace = opts.on("emit-trace");
 
     let mut summaries = Vec::new();
-    for name in names {
+    for name in all_or_one(opts, cluster::CLUSTER_ALGS) {
         let outcome = cluster::cluster_run(name, n, seed, &plan, &copts)?;
-        if let Some(path) = opts.get("record") {
+        if let Some(path) = opts.raw("record") {
             std::fs::write(path, outcome.trace.to_json_pretty() + "\n")
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
-        let trace_json = emit_trace.then(|| outcome.trace.to_json());
-        print_cluster_summary(&outcome.summary, format, "live", trace_json.as_deref())?;
+        print_cluster_summary(&outcome.summary, opts.json(), "live")?;
+        if emit_trace {
+            println!("  {}", outcome.trace.to_json());
+        }
         summaries.push(outcome.summary);
     }
     cluster_verdict(&summaries)
 }
 
-fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
-    fn num<T: std::str::FromStr>(
-        opts: &HashMap<String, String>,
-        key: &str,
-        default: &str,
-    ) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        get(opts, key, default)
-            .parse()
-            .map_err(|e| format!("bad --{key}: {e}"))
-    }
-    let cfg = ftcolor::batch::ServiceConfig {
-        n: num(opts, "n", "5")?,
-        instances: num(opts, "instances", "1000")?,
-        rate: num(opts, "rate", "64")?,
-        seed: num(opts, "seed", "0")?,
-        sync: match get(opts, "sched", "random") {
-            "sync" => true,
-            "random" => false,
-            other => return Err(format!("serve supports --sched sync|random, got `{other}`")),
-        },
-        p: num(opts, "p", "0.5")?,
-        crash_prob: num(opts, "crash-prob", "0")?,
-        crash_horizon: num(opts, "crash-horizon", "8")?,
-        universe: num(opts, "universe", "64")?,
-        fuel: num(opts, "fuel", "100000")?,
-        quantum: num(opts, "quantum", "8")?,
-        jobs: parse_jobs(opts)?,
-    };
-    if cfg.n < 3 {
-        return Err("serve needs --n >= 3 (no smaller cycle exists)".into());
-    }
-    if cfg.instances == 0 {
-        return Err("serve needs --instances >= 1".into());
-    }
-    if cfg.instances > 1 && cfg.universe < cfg.n as u64 {
-        return Err(format!(
-            "--universe {} cannot hold {} distinct identifiers",
-            cfg.universe, cfg.n
-        ));
-    }
-    if cfg.rate.is_nan() || cfg.rate <= 0.0 {
-        return Err("serve needs --rate > 0".into());
-    }
-    if cfg.quantum == 0 {
-        return Err("serve needs --quantum >= 1".into());
-    }
-    let format = get(opts, "format", "text").to_string();
-    match get(opts, "alg", "alg2p") {
-        "alg1" => serve_with(
-            &SixColoring,
-            "alg1",
-            6,
-            |c: &PairColor| usize::try_from(c.flat_index()).expect("flat index fits usize"),
-            &cfg,
-            &format,
-        ),
-        "alg2" => serve_with(&FiveColoring, "alg2", 5, flat_u64, &cfg, &format),
-        "alg2p" => serve_with(&FiveColoringPatched, "alg2p", 5, flat_u64, &cfg, &format),
-        "alg3" => serve_with(&FastFiveColoring, "alg3", 5, flat_u64, &cfg, &format),
-        "alg3p" => serve_with(
-            &FastFiveColoringPatched,
-            "alg3p",
-            5,
-            flat_u64,
-            &cfg,
-            &format,
-        ),
-        other => Err(format!("unknown --alg `{other}`")),
-    }
-}
+/// `ftcolor serve`: runs a fleet through the batch engine and prints its
+/// summary.
+struct Serve<'a>(&'a Opts);
 
-/// Color projection for the algorithms whose output already is the color.
-fn flat_u64(c: &u64) -> usize {
-    usize::try_from(*c).expect("color fits usize")
-}
-
-fn serve_with<A>(
-    alg: &A,
-    label: &str,
-    palette: usize,
-    color_of: impl Fn(&A::Output) -> usize + Sync,
-    cfg: &ftcolor::batch::ServiceConfig,
-    format: &str,
-) -> Result<(), String>
-where
-    A: Algorithm<Input = u64> + Sync,
-    A::State: Eq + std::hash::Hash + Clone + Send + Sync,
-    A::Reg: Eq + std::hash::Hash + Clone + Send + Sync,
-    A::Output: Eq + std::hash::Hash + Clone + Send + Sync,
-{
-    let (summary, timings) = ftcolor::batch::run_service(alg, label, palette, color_of, cfg);
-    // Wall-clock facts go to stderr only: stdout is deterministic and
-    // byte-identical at every --jobs value (the golden test pins this).
-    eprintln!(
-        "serve: {} instances in {} ms ({} colorings/s, {} jobs, peak RSS {} KiB)",
-        summary.completed,
-        timings.elapsed_ms,
-        timings.colorings_per_sec,
-        timings.jobs,
-        timings.peak_rss_kib
-    );
-    match format {
-        "json" => println!(
-            "{}",
-            serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
-        ),
-        _ => {
+impl AlgTask for Serve<'_> {
+    fn run<A: CliAlg>(self, alg: &A, name: &str) -> Result<(), String> {
+        let opts = self.0;
+        let cfg = ServiceConfig {
+            n: opts.val("n")?,
+            instances: opts.val("instances")?,
+            rate: opts.val("rate")?,
+            seed: opts.val("seed")?,
+            sync: opts.str("sched") == "sync",
+            p: opts.val("p")?,
+            crash_prob: opts.val("crash-prob")?,
+            crash_horizon: opts.val("crash-horizon")?,
+            universe: opts.val("universe")?,
+            fuel: opts.val("fuel")?,
+            quantum: opts.val("quantum")?,
+            jobs: opts.val("jobs")?,
+        };
+        Topology::cycle(cfg.n).map_err(|e| bad("n", e))?;
+        if cfg.instances == 0 {
+            return Err("serve needs --instances >= 1".into());
+        }
+        if cfg.instances > 1 && cfg.universe < cfg.n as u64 {
+            return Err(format!(
+                "--universe {} cannot hold {} distinct identifiers",
+                cfg.universe, cfg.n
+            ));
+        }
+        if cfg.rate.is_nan() || cfg.rate <= 0.0 {
+            return Err("serve needs --rate > 0".into());
+        }
+        if cfg.quantum == 0 {
+            return Err("serve needs --quantum >= 1".into());
+        }
+        for (flag, p) in [("p", cfg.p), ("crash-prob", cfg.crash_prob)] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(bad(flag, format!("{p} is not a probability in [0, 1]")));
+            }
+        }
+        let (summary, timings) =
+            ftcolor::batch::run_service(alg, name, A::PALETTE, A::color_index, &cfg);
+        // Wall-clock facts go to stderr only: stdout is deterministic and
+        // byte-identical at every --jobs value (the golden test pins this).
+        eprintln!(
+            "serve: {} instances in {} ms ({} colorings/s, {} jobs, peak RSS {} KiB)",
+            summary.completed,
+            timings.elapsed_ms,
+            timings.colorings_per_sec,
+            timings.jobs,
+            timings.peak_rss_kib
+        );
+        if opts.json() {
+            print_json(&summary)?;
+        } else {
             println!(
                 "{}: n={} instances={} rate={} seed={} sched={} valid={}",
                 summary.algorithm,
@@ -1254,71 +1164,56 @@ where
                 summary.outputs_digest
             );
         }
-    }
-    if summary.valid {
-        Ok(())
-    } else {
-        Err(format!(
-            "service verdict invalid: completed={}/{} stalled={} proper={} palette={}",
-            summary.completed,
-            summary.instances,
-            summary.stalled,
-            summary.proper_ok,
-            summary.palette_ok
-        ))
+        if summary.valid {
+            Ok(())
+        } else {
+            Err(format!(
+                "service verdict invalid: completed={}/{} stalled={} proper={} palette={}",
+                summary.completed,
+                summary.instances,
+                summary.stalled,
+                summary.proper_ok,
+                summary.palette_ok
+            ))
+        }
     }
 }
 
-fn print_cluster_summary(
-    s: &cluster::ClusterSummary,
-    format: &str,
-    mode: &str,
-    trace_json: Option<&str>,
-) -> Result<(), String> {
-    match format {
-        "json" => {
-            let mut v = serde_json::to_value(s).map_err(|e| e.to_string())?;
-            if let serde::Value::Object(pairs) = &mut v {
-                pairs.push(("mode".to_string(), serde::Value::String(mode.to_string())));
-            }
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&v).map_err(|e| e.to_string())?
-            );
+fn print_cluster_summary(s: &ClusterSummary, json: bool, mode: &str) -> Result<(), String> {
+    if json {
+        let mut v = s.to_value();
+        if let serde::Value::Object(pairs) = &mut v {
+            pairs.push(("mode".to_string(), mode.to_value()));
         }
-        _ => {
-            println!(
-                "{}: n={} seed={} mode={mode} valid={} palette_ok={} returned={}",
-                s.alg, s.n, s.seed, s.valid, s.palette_ok, s.all_correct_returned
-            );
-            println!(
-                "  colors: {:?}  crashed: {:?}  stalled: {:?}  timed_out={}",
-                s.colors, s.crashed, s.stalled, s.timed_out
-            );
-            println!(
-                "  rounds_max={} wall_ms={} sent={} delivered={} dropped={} \
-                 dead_reads={} malformed={}",
-                s.rounds_max,
-                s.wall_ms,
-                s.stats.sent,
-                s.stats.delivered,
-                s.stats.dropped + s.stats.partition_dropped,
-                s.stats.served_dead_reads,
-                s.stats.malformed
-            );
-            println!(
-                "  trace: {} entries, digest {}",
-                s.trace_len, s.trace_digest
-            );
-        }
+        return print_json(&v);
     }
-    if let Some(t) = trace_json {
-        println!("  {t}");
-    }
+    println!(
+        "{}: n={} seed={} mode={mode} valid={} palette_ok={} returned={}",
+        s.alg, s.n, s.seed, s.valid, s.palette_ok, s.all_correct_returned
+    );
+    println!(
+        "  colors: {:?}  crashed: {:?}  stalled: {:?}  timed_out={}",
+        s.colors, s.crashed, s.stalled, s.timed_out
+    );
+    println!(
+        "  rounds_max={} wall_ms={} sent={} delivered={} dropped={} \
+         dead_reads={} malformed={}",
+        s.rounds_max,
+        s.wall_ms,
+        s.stats.sent,
+        s.stats.delivered,
+        s.stats.dropped + s.stats.partition_dropped,
+        s.stats.served_dead_reads,
+        s.stats.malformed
+    );
+    println!(
+        "  trace: {} entries, digest {}",
+        s.trace_len, s.trace_digest
+    );
     Ok(())
 }
 
-fn cluster_verdict(summaries: &[cluster::ClusterSummary]) -> Result<(), String> {
+fn cluster_verdict(summaries: &[ClusterSummary]) -> Result<(), String> {
     let mut failures = Vec::new();
     for s in summaries {
         if !s.valid {
@@ -1335,5 +1230,95 @@ fn cluster_verdict(summaries: &[cluster::ClusterSummary]) -> Result<(), String> 
         Ok(())
     } else {
         Err(failures.join("; "))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn opts(cmd: &'static Cmd, args: &[&str]) -> Result<Opts, String> {
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        Opts::parse(cmd, &args)
+    }
+
+    struct Noop;
+
+    impl AlgTask for Noop {
+        fn run<A: CliAlg>(self, _: &A, _: &str) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    /// The tables parse every choice they list, and the code that
+    /// interprets `--alg`, `--input`, `--sched` and `--codec` handles it.
+    #[test]
+    fn every_choice_in_the_tables_is_handled() {
+        for cmd in CMDS {
+            for f in cmd.flags {
+                for &choice in f.choices {
+                    let o = opts(cmd, &[&format!("--{}", f.name), choice]).unwrap();
+                    match f.name {
+                        "alg" => with_alg(&o, choice, Noop).unwrap(),
+                        "input" => assert_eq!(ring_ids(&o).unwrap().len(), 8),
+                        "sched" if cmd.name == "color" => drop(make_schedule(choice, 5, 0)),
+                        "codec" => assert_eq!(o.codec().name(), choice),
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flags_outside_the_table_are_refused() {
+        let color = &CMDS[0];
+        let err = |args: &[&str]| opts(color, args).err().unwrap();
+        assert_eq!(err(&["--sed", "5"]), "`ftcolor color` has no flag `--sed`");
+        assert_eq!(err(&["5"]), "`ftcolor color` has no flag `5`");
+        assert_eq!(
+            err(&["--seed", "1", "--seed", "2"]),
+            "--seed given twice to `ftcolor color`"
+        );
+        assert_eq!(err(&["--seed"]), "--seed needs a value");
+        assert!(err(&["--alg", "eagermis"]).starts_with("unknown --alg `eagermis`"));
+        let o = opts(color, &["--n", "x", "--ids", "1,y"]).unwrap();
+        assert!(o.val::<usize>("n").unwrap_err().starts_with("bad --n: "));
+        assert!(o.list::<u64>("ids").unwrap_err().starts_with("bad --ids: "));
+        let o = opts(color, &["--ids", "5, 11,7"]).unwrap();
+        assert_eq!(o.list("ids"), Ok(Some(vec![5u64, 11, 7])));
+        assert_eq!(o.val::<usize>("n"), Ok(8));
+    }
+
+    /// Every flag written after `ftcolor -- <cmd>` in the docs and in CI
+    /// is in that subcommand's table, so a stale flag fails here.
+    #[test]
+    fn documented_invocations_use_declared_flags() {
+        for doc in ["README.md", "EXPERIMENTS.md", ".github/workflows/ci.yml"] {
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(doc);
+            let text = std::fs::read_to_string(&path).unwrap().replace("\\\n", " ");
+            let mut seen = 0;
+            for (at, _) in text.match_indices("ftcolor -- ") {
+                let line = text[at..].lines().next().unwrap_or_default();
+                let mut words = line
+                    .split_whitespace()
+                    .skip(2)
+                    .take_while(|w| !matches!(*w, "|" | ">" | "#" | "&&" | ";"));
+                let name = words.next().unwrap_or_default();
+                let cmd = CMDS.iter().find(|c| c.name == name);
+                let cmd = cmd.unwrap_or_else(|| panic!("{doc}: no subcommand `{name}`"));
+                for flag in words.filter_map(|w| w.strip_prefix("--")) {
+                    assert!(
+                        cmd.flag(flag).is_some(),
+                        "{doc}: `ftcolor {name}` has no --{flag}"
+                    );
+                }
+                seen += 1;
+            }
+            assert!(
+                seen > 0 || doc == "EXPERIMENTS.md",
+                "{doc}: no invocations found"
+            );
+        }
     }
 }

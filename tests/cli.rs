@@ -1,7 +1,8 @@
 //! Smoke tests for the `ftcolor` CLI binary: each subcommand runs,
 //! produces the expected markers, and exits cleanly.
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
 
 fn run(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_ftcolor"))
@@ -212,6 +213,62 @@ fn bad_flags_fail_gracefully() {
         stderr.contains("the external-memory and Bloom visited-set modes are mutually exclusive"),
         "{stderr}"
     );
+    // Flags outside a subcommand's table, repeated flags, values outside
+    // a flag's choices and fault plans or probabilities that could never
+    // take effect all exit 1 with a message naming the flag.
+    let crash_99 = r#"{"crashes":[{"node":99,"at":1}]}"#;
+    for (args, expected) in [
+        (
+            &["color", "--sed", "5"][..],
+            "`ftcolor color` has no flag `--sed`",
+        ),
+        (
+            &["color", "--codec", "binary"],
+            "`ftcolor color` has no flag `--codec`",
+        ),
+        (
+            &["color", "--seed", "1", "--seed", "2"],
+            "--seed given twice",
+        ),
+        (&["serve", "--format", "yaml"], "unknown --format `yaml`"),
+        (
+            &["netsim", "--n", "5", "--faults", crash_99],
+            "bad --faults: crash node 99",
+        ),
+        (
+            &["netsim", "--n", "5", "--faults", r#"{"drop":-1}"#],
+            "bad --faults: drop -1",
+        ),
+        (&["serve", "--p", "1.5"], "bad --p"),
+        (&["serve", "--crash-prob", "7"], "bad --crash-prob"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ftcolor"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn closed_stdout_pipe_ends_quietly() {
+    // The emitted trace is far larger than a pipe buffer, so the binary
+    // is still writing when the reader goes away.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ftcolor"))
+        .args(["netsim", "--alg", "alg1", "--n", "2000", "--emit-trace"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut head = [0u8; 16];
+    let mut stdout = child.stdout.take().expect("stdout is piped");
+    stdout.read_exact(&mut head).expect("output starts");
+    drop(stdout);
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
